@@ -642,9 +642,13 @@ let outline_bench () =
    is the global decision rounds, the parallel part the per-shard
    discovery and rewrite, and T(w) = serial + parallel/w — while measured
    wall-clock for every sweep point is recorded alongside (it only means
-   anything on a >= 4-core host; the JSON records the core count).
+   anything on a >= 4-core host; the JSON records the core count).  The
+   count-then-materialize share — windows built into candidates over
+   windows keyed, summed over rounds — is a deterministic counter, gated
+   by [max_materialized_share] where given.
    Emits BENCH_thinwpo.json. *)
-let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
+let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup
+    ?max_materialized_share () =
   let prof = Workload.Appgen.scaled ~mult profile in
   title
     (Printf.sprintf "Thin-WPO worker sweep: %s (%d modules)"
@@ -692,6 +696,19 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
       (Thinwpo.Engine.Report.rounds thin1.Pipeline.thin_profile)
   in
   let modeled w = (serial_s +. parallel_s) /. (serial_s +. (parallel_s /. float_of_int w)) in
+  let keyed, materialized =
+    List.fold_left
+      (fun (k, m) (rd : Thinwpo.Engine.Report.round) ->
+        (k + rd.rr_keyed, m + rd.rr_materialized))
+      (0, 0)
+      (Thinwpo.Engine.Report.rounds thin1.Pipeline.thin_profile)
+  in
+  (* Windows materialized without being keyed count as the whole scan. *)
+  let materialized_share =
+    if materialized = 0 then 0.
+    else if keyed = 0 then 1.
+    else float_of_int materialized /. float_of_int keyed
+  in
   let thin_size = (fun (_, _, r) -> r.Pipeline.binary_size) (List.hd runs) in
   print_string
     (table
@@ -709,10 +726,12 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
             runs));
   Printf.printf
     "identical across workers: %b   engine serial %.3fs / parallel %.3fs   \
-     size vs full: %+.2f%%   (host cores: %d)\n"
+     size vs full: %+.2f%%   (host cores: %d)\n\
+     windows keyed %d, materialized %d (share %.3f)\n"
     identical serial_s parallel_s
     (-.pct full.Pipeline.binary_size thin_size)
-    (Domain.recommended_domain_count ());
+    (Domain.recommended_domain_count ())
+    keyed materialized materialized_share;
   let json =
     Printf.sprintf
       "{\n\
@@ -727,6 +746,7 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
       \  \"modeled\": {\"serial_s\":%.6f,\"parallel_s\":%.6f,\
        \"speedup_at_4\":%.3f},\n\
       \  \"identical\": %b,\n\
+      \  \"windows\": {\"keyed\":%d,\"materialized\":%d,\"share\":%.6f},\n\
       \  \"thin_rounds_profile\": %s\n\
        }\n"
       prof.Workload.Appgen.app_name prof.Workload.Appgen.n_modules
@@ -741,7 +761,8 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
                  \"modeled_speedup\":%.3f}"
                 w wall r.Pipeline.binary_size (modeled w))
             runs))
-      serial_s parallel_s (modeled 4) identical
+      serial_s parallel_s (modeled 4) identical keyed materialized
+      materialized_share
       (Thinwpo.Engine.Report.to_json thin1.Pipeline.thin_profile)
   in
   let oc = open_out "BENCH_thinwpo.json" in
@@ -754,6 +775,14 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
     failwith
       (Printf.sprintf "thinwpo: thin image %d B is over 1%% past full WPO %d B"
          thin_size full.Pipeline.binary_size);
+  (match max_materialized_share with
+  | Some bar when materialized_share > bar ->
+    failwith
+      (Printf.sprintf
+         "thinwpo: materialized %d of %d keyed windows (%.3f), over the %.2f \
+          bar"
+         materialized keyed materialized_share bar)
+  | _ -> ());
   match min_speedup with
   | Some bar ->
     if modeled 4 < bar then
@@ -770,11 +799,13 @@ let thinwpo () =
   thinwpo_impl ~profile:Workload.Appgen.small ~mult:10
     ~workers_list:[ 1; 2; 4; 8 ] ~min_speedup:(Some 2.5) ()
 
-(* CI smoke: a 2x app and a two-point sweep, identity and size assertions
-   only — small enough for every push. *)
+(* CI smoke: a 2x app and a two-point sweep — small enough for every push.
+   Identity and size assertions, plus the count-then-materialize gate: at
+   most a quarter of the keyed windows may be built into candidates
+   (0.131 measured when the gate was set). *)
 let thinwpo_smoke () =
   thinwpo_impl ~profile:Workload.Appgen.small ~mult:2 ~workers_list:[ 1; 2 ]
-    ~min_speedup:None ()
+    ~min_speedup:None ~max_materialized_share:0.25 ()
 
 (* -------------------------------------------------------- serve bench *)
 

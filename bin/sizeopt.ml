@@ -32,9 +32,10 @@ let load_program path =
     | Ok m -> Ok (Codegen.compile_modul m)
   end
   else
-    match Machine.Asm_parser.parse_program text with
-    | Ok p -> Ok p
-    | Error e -> Error e
+    (* The parser accepts branches to undefined labels and calls to
+       undefined symbols; every later stage assumes they resolve. *)
+    Result.bind (Machine.Asm_parser.parse_program text) (fun p ->
+        Result.map (fun () -> p) (Machine.Program.validate p))
 
 let or_die = function
   | Ok x -> x

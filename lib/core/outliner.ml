@@ -40,28 +40,35 @@ type seq_meta = {
   sm_has_ret : bool;
 }
 
-let build_sequences imap (p : Program.t) =
-  let seqs = ref [] and metas = ref [] in
-  List.iter
+(* Every outlinable block with at least one symbol, in program order: the
+   sequence ids shared by the suffix tree and the window scan. *)
+let block_metas (p : Program.t) =
+  List.concat_map
     (fun (f : Mfunc.t) ->
-      if not f.no_outline then
-        List.iter
+      if f.no_outline then []
+      else
+        List.filter_map
           (fun (b : Block.t) ->
             let has_ret = b.term = Block.Ret in
-            let n = Array.length b.body in
-            let len = if has_ret then n + 1 else n in
-            if len >= 1 then begin
-              let arr = Array.make len 0 in
-              for i = 0 to n - 1 do
-                arr.(i) <- Instr_map.symbol_of_insn imap b.body.(i)
-              done;
-              if has_ret then arr.(n) <- Instr_map.ret_symbol imap;
-              seqs := arr :: !seqs;
-              metas := { sm_func = f; sm_block = b; sm_has_ret = has_ret } :: !metas
-            end)
+            if Array.length b.body = 0 && not has_ret then None
+            else Some { sm_func = f; sm_block = b; sm_has_ret = has_ret })
           f.blocks)
-    p.funcs;
-  (List.rev !seqs, Array.of_list (List.rev !metas))
+    p.funcs
+  |> Array.of_list
+
+let build_sequences imap (p : Program.t) =
+  let metas = block_metas p in
+  let seq_of (m : seq_meta) =
+    let body = m.sm_block.Block.body in
+    let n = Array.length body in
+    let arr = Array.make (if m.sm_has_ret then n + 1 else n) 0 in
+    for i = 0 to n - 1 do
+      arr.(i) <- Instr_map.symbol_of_insn imap body.(i)
+    done;
+    if m.sm_has_ret then arr.(n) <- Instr_map.ret_symbol imap;
+    arr
+  in
+  (Array.to_list (Array.map seq_of metas), metas)
 
 (* Walk the occurrences that survive self-overlap pruning: an occurrence
    is dropped when it overlaps an earlier-kept occurrence of the same
@@ -125,6 +132,16 @@ let sp_unsafe_callees ?(extern = fun _ -> false) (p : Program.t) =
       outlined
   done;
   fun name -> Hashtbl.mem unsafe name || extern name
+
+let memo_liveness () =
+  let cache : (string, Liveness.t) Hashtbl.t = Hashtbl.create 64 in
+  fun (f : Mfunc.t) ->
+    match Hashtbl.find_opt cache f.name with
+    | Some lv -> lv
+    | None ->
+      let lv = Liveness.compute f in
+      Hashtbl.replace cache f.name lv;
+      lv
 
 (* Per-point LR liveness, memoized per sequence id.  All occurrences of a
    sequence share one block, so the label-keyed table lookup inside
@@ -276,15 +293,7 @@ let enumerate ?min_length ?(options = default_options) ?(all = false)
   let seqs, metas = build_sequences imap p in
   if seqs = [] then []
   else begin
-    let liveness_cache : (string, Liveness.t) Hashtbl.t = Hashtbl.create 64 in
-    let liveness_of (f : Mfunc.t) =
-      match Hashtbl.find_opt liveness_cache f.name with
-      | Some lv -> lv
-      | None ->
-        let lv = Liveness.compute f in
-        Hashtbl.replace liveness_cache f.name lv;
-        lv
-    in
+    let liveness_of = memo_liveness () in
     let reps =
       match pool with
       | None ->
@@ -302,70 +311,92 @@ let enumerate ?min_length ?(options = default_options) ?(all = false)
       reps
   end
 
-let probe_windows ?(options = default_options) ?extern_sp_unsafe ~lengths
-    (p : Program.t) =
-  match
-    List.sort_uniq Int.compare (List.filter (fun l -> l >= 2) lengths)
-  with
-  | [] -> []
+(* --- Window scan ------------------------------------------------------- *)
+
+(* Content keys for raw instruction windows: a polynomial rolling hash over
+   per-instruction structural hashes (the virtual ret slot gets a constant
+   of its own), mixed with the window length.  Equal contents always get
+   equal keys; unequal contents may collide, which only lets extra windows
+   through the count filter.  Summary hashes are over printed forms, so the
+   one pair of instructions that print alike — [Mov (d, Rop s)] is printed
+   as [orr d, xzr, s] — must share a key too. *)
+let window_base = 0x100000001b3
+let ret_slot_key = 0x5bd1e995
+
+let insn_key = function
+  | Insn.Binop (Insn.Orr, d, Reg.XZR, (Insn.Rop _ as s)) ->
+    Insn.hash (Insn.Mov (d, s))
+  | i -> Insn.hash i
+
+(* [f seq pos len key] for every legal window of the given lengths (>= 2),
+   sequence by sequence, then by length, then by position. *)
+let iter_windows ~lengths metas f =
+  match List.sort_uniq Int.compare (List.filter (fun l -> l >= 2) lengths) with
+  | [] -> ()
   | lengths ->
-    let imap = Instr_map.create () in
-    let seqs, metas = build_sequences imap p in
-    if seqs = [] then []
-    else begin
-      let liveness_cache : (string, Liveness.t) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let liveness_of (f : Mfunc.t) =
-        match Hashtbl.find_opt liveness_cache f.name with
-        | Some lv -> lv
-        | None ->
-          let lv = Liveness.compute f in
-          Hashtbl.replace liveness_cache f.name lv;
-          lv
-      in
-      let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
-      let lr_live = lr_live_memo metas liveness_of in
-      let out = ref [] in
-      Array.iteri
-        (fun s (m : seq_meta) ->
-          let body = m.sm_block.Block.body in
-          let n = Array.length body in
-          let seq_len = n + if m.sm_has_ret then 1 else 0 in
-          (* The suffix-tree path enforces per-instruction legality through
-             the alphabet — illegal instructions get unique symbols and can
-             never be part of a repeat.  Raw windows see the body directly,
-             so the same rule must be applied by hand: [bad.(i)] counts
-             illegal instructions in [body[0..i)], and any window touching
-             one is skipped.  The virtual ret slot at [n] is always legal. *)
-          let bad = Array.make (n + 1) 0 in
-          for i = 0 to n - 1 do
+    let max_len = List.fold_left max 0 lengths in
+    let pow = Array.make (max_len + 1) 1 in
+    for l = 1 to max_len do
+      pow.(l) <- pow.(l - 1) * window_base
+    done;
+    Array.iteri
+      (fun s (m : seq_meta) ->
+        let body = m.sm_block.Block.body in
+        let n = Array.length body in
+        let seq_len = n + if m.sm_has_ret then 1 else 0 in
+        (* The suffix-tree path enforces per-instruction legality through
+           the alphabet — illegal instructions get unique symbols and can
+           never be part of a repeat.  Raw windows see the body directly,
+           so the same rule must be applied by hand: [bad.(i)] counts
+           illegal instructions in [body[0..i)], and any window touching
+           one is skipped.  The virtual ret slot at [n] is always legal. *)
+        let bad = Array.make (n + 1) 0 in
+        let prefix = Array.make (seq_len + 1) 0 in
+        for i = 0 to seq_len - 1 do
+          if i < n then
             bad.(i + 1) <-
               bad.(i)
               + (match Legality.classify body.(i) with
                 | Legality.Illegal -> 1
-                | Legality.Legal -> 0)
-          done;
-          List.iter
-            (fun len ->
-              for pos = 0 to seq_len - len do
-                let hi = min (pos + len) n in
-                if bad.(hi) - bad.(pos) = 0 then
-                  match
-                    candidate_of_repeat ~lax:true options ~callee_sp_unsafe
-                      metas lr_live
-                      {
-                        Sufftree.Suffix_tree.length = len;
-                        occs = [ { Sufftree.Suffix_tree.seq = s; pos } ];
-                      }
-                  with
-                  | Some c -> out := c :: !out
-                  | None -> ()
-              done)
-            lengths)
-        metas;
-      List.rev !out
-    end
+                | Legality.Legal -> 0);
+          prefix.(i + 1) <-
+            (prefix.(i) * window_base)
+            + if i < n then insn_key body.(i) else ret_slot_key
+        done;
+        List.iter
+          (fun len ->
+            for pos = 0 to seq_len - len do
+              if bad.(min (pos + len) n) - bad.(pos) = 0 then
+                f s pos len
+                  (((prefix.(pos + len) - (prefix.(pos) * pow.(len))) * 31)
+                  + len)
+            done)
+          lengths)
+      metas
+
+let window_keys ~lengths (p : Program.t) =
+  let keys = ref [] in
+  iter_windows ~lengths (block_metas p) (fun _ _ _ k -> keys := k :: !keys);
+  Array.of_list !keys
+
+let probe_windows ?(options = default_options) ?extern_sp_unsafe
+    ?(keep = fun _ -> true) ~lengths (p : Program.t) =
+  let metas = block_metas p in
+  let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
+  let lr_live = lr_live_memo metas (memo_liveness ()) in
+  let out = ref [] in
+  iter_windows ~lengths metas (fun s pos len key ->
+      if keep key then
+        match
+          candidate_of_repeat ~lax:true options ~callee_sp_unsafe metas lr_live
+            {
+              Sufftree.Suffix_tree.length = len;
+              occs = [ { Sufftree.Suffix_tree.seq = s; pos } ];
+            }
+        with
+        | Some c -> out := c :: !out
+        | None -> ());
+  List.rev !out
 
 (* --- Greedy selection order ------------------------------------------- *)
 
@@ -767,18 +798,7 @@ let run_round ?profile options (p : Program.t) =
             Sufftree.Suffix_tree.repeats ~min_length:options.min_length tree
           in
           let callee_sp_unsafe = sp_unsafe_callees p in
-          let liveness_cache : (string, Liveness.t) Hashtbl.t =
-            Hashtbl.create 64
-          in
-          let liveness_of (f : Mfunc.t) =
-            match Hashtbl.find_opt liveness_cache f.name with
-            | Some lv -> lv
-            | None ->
-              let lv = Liveness.compute f in
-              Hashtbl.replace liveness_cache f.name lv;
-              lv
-          in
-          let lr_live = lr_live_memo metas liveness_of in
+          let lr_live = lr_live_memo metas (memo_liveness ()) in
           List.filter_map
             (candidate_of_repeat options ~callee_sp_unsafe metas lr_live)
             reps)

@@ -55,19 +55,36 @@ val enumerate :
     implementation so a worker can recycle its backing store across the
     shards it processes. *)
 
+val window_keys : lengths:int list -> Machine.Program.t -> int array
+(** Thin-WPO's count step: one content key for every legal instruction
+    window of the given lengths (lengths below 2 are ignored), in no
+    particular order.  The key is a polynomial rolling hash over
+    per-instruction structural hashes plus a constant for the virtual [ret]
+    slot, mixed with the window length, so the whole scan is one pass per
+    block.  Windows with equal contents get equal keys in every shard — the
+    summary hash of a window's candidate is a function of its contents, so
+    a key seen once in the whole program can only belong to windows whose
+    candidates reach the decision round with a single global site.  Keys
+    may collide; a collision only lets extra windows through. *)
+
 val probe_windows :
   ?options:options ->
   ?extern_sp_unsafe:(string -> bool) ->
+  ?keep:(int -> bool) ->
   lengths:int list ->
   Machine.Program.t ->
   Candidate.t list
 (** Every legal single-site candidate over every instruction window of the
-    given lengths — thin-WPO's answer to patterns this shard contains only
-    {e once}: the suffix tree reports local repeats only, so after the
-    provisional global ranking a shard probes its own windows for
-    advertised pattern lengths and matches them to foreign discoveries by
-    content hash.  No filtering beyond legality; the caller intersects the
-    result with the hashes it wants. *)
+    given lengths — thin-WPO's answer to patterns a shard contains only
+    {e once}, which a per-shard suffix tree cannot report.  [keep] sees
+    each window's {!window_keys} key first, and only windows it accepts
+    are materialized: thin-WPO counts keys across all shards and keeps
+    those seen at least twice (count, then materialize).  Without [keep]
+    every legal window is materialized.  After the provisional global
+    ranking a shard also probes its own windows for advertised pattern
+    lengths past the scan cap and matches them to foreign discoveries by
+    content hash.  No filtering beyond legality and [keep]; the caller
+    intersects the result with the hashes it wants. *)
 
 val sp_unsafe_callees :
   ?extern:(string -> bool) -> Machine.Program.t -> string -> bool

@@ -10,6 +10,7 @@ module Report = struct
   type shard = {
     rs_module : string;
     rs_funcs : int;
+    rs_keys : float;
     rs_discover : float;
     rs_rewrite : float;
   }
@@ -17,8 +18,12 @@ module Report = struct
   type round = {
     rr_round : int;
     rr_shards : shard list;
+    rr_join : float;
     rr_decide : float;
     rr_selected : int;
+    rr_keyed : int;
+    rr_materialized : int;
+    rr_decisions : Summary.decision list;
   }
 
   type t = { mutable rev_rounds : round list }
@@ -30,13 +35,16 @@ module Report = struct
   let to_json t =
     let shard s =
       Printf.sprintf
-        "{\"module\":\"%s\",\"funcs\":%d,\"discover_s\":%.6f,\"rewrite_s\":%.6f}"
-        s.rs_module s.rs_funcs s.rs_discover s.rs_rewrite
+        "{\"module\":\"%s\",\"funcs\":%d,\"keys_s\":%.6f,\"discover_s\":%.6f,\
+         \"rewrite_s\":%.6f}"
+        s.rs_module s.rs_funcs s.rs_keys s.rs_discover s.rs_rewrite
     in
     let round r =
       Printf.sprintf
-        "{\"round\":%d,\"decide_s\":%.6f,\"selected\":%d,\"shards\":[%s]}"
-        r.rr_round r.rr_decide r.rr_selected
+        "{\"round\":%d,\"join_s\":%.6f,\"decide_s\":%.6f,\"selected\":%d,\
+         \"keyed\":%d,\"materialized\":%d,\"shards\":[%s]}"
+        r.rr_round r.rr_join r.rr_decide r.rr_selected r.rr_keyed
+        r.rr_materialized
         (String.concat "," (List.map shard r.rr_shards))
     in
     "[" ^ String.concat "," (List.map round (rounds t)) ^ "]"
@@ -83,17 +91,18 @@ let sum_stats =
    trees plus the post-ranking probe. *)
 let window_scan_max = 32
 
-let run_round ?report ~workers ~facts ~(options : Outliner.options)
-    (p : Program.t) =
+let run_round ?report ?(hash_first = true) ~workers ~facts
+    ~(options : Outliner.options) (p : Program.t) =
   let shards = shard_by_module p in
   let extern_sp_unsafe name = fact_sp_unsafe facts name in
-  (* Phase 1: parallel discovery.  Each worker owns one arena pool, reused
-     across every shard it claims; candidates stay in the per-shard result
-     slot and only the raw-count summary crosses into the decision round.
+  (* Phase 1: parallel discovery, in two steps.  Each worker owns one arena
+     pool, reused across every shard it claims; candidates stay in the
+     per-shard result slot and only the raw-count summary crosses into the
+     decision round.
 
      Discovery is window-complete up to [window_scan_max]: every legal
-     instruction window of those lengths is fingerprinted, so a pattern a
-     shard contains only {e once} still reaches the decision round and can
+     instruction window of those lengths is keyed, so a pattern a shard
+     contains only {e once} still reaches the decision round and can
      join counts with the other shards (the class a per-shard suffix tree
      is structurally blind to).  Beyond the cap the suffix tree takes
      over, so long patterns are still caught whenever they repeat within
@@ -106,6 +115,41 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
         (fun i -> options.min_length + i)
   in
   let tree_min = max options.min_length (window_scan_max + 1) in
+  (* Step 1a, count: every shard keys its legal windows in one pass and a
+     serial join counts the keys globally.  A window whose content occurs
+     once in the whole program fails the decision round's two-site filter
+     whatever its candidate looks like, so step 1b materializes only
+     windows whose key was seen at least twice — the same summaries, less
+     the entries no decision can use.  [hash_first = false] materializes
+     every window, the reference the differential tests compare against. *)
+  let keyed =
+    if not hash_first then Array.map (fun _ -> ([||], 0.)) shards
+    else
+      Pool.map ~workers
+        (fun (_, funcs) ->
+          let t0 = Unix.gettimeofday () in
+          let keys =
+            Outliner.window_keys ~lengths:win_lengths
+              (Program.replace_funcs p funcs)
+          in
+          (keys, Unix.gettimeofday () -. t0))
+        shards
+  in
+  let t0 = Unix.gettimeofday () in
+  let n_keyed =
+    Array.fold_left (fun n (keys, _) -> n + Array.length keys) 0 keyed
+  in
+  (* key -> seen more than once; read-only once the join is done, so the
+     workers of step 1b share it *)
+  let repeated : (int, bool) Hashtbl.t = Hashtbl.create (max 16 n_keyed) in
+  Array.iter
+    (fun (keys, _) ->
+      Array.iter
+        (fun k -> Hashtbl.replace repeated k (Hashtbl.mem repeated k))
+        keys)
+    keyed;
+  let join_s = Unix.gettimeofday () -. t0 in
+  (* Step 1b, materialize. *)
   let discovered =
     Pool.map_init ~workers
       ~init:(fun () -> (Sufftree.Arena_tree.create_pool (), Summary.hasher ()))
@@ -116,13 +160,18 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
           Outliner.enumerate ~min_length:tree_min ~options ~all:true
             ~extern_sp_unsafe ~pool shard_p
         in
+        let materialized = ref 0 in
+        let keep k =
+          (not hash_first || Hashtbl.find repeated k)
+          && (incr materialized; true)
+        in
         let win_cands =
-          Outliner.probe_windows ~options ~extern_sp_unsafe
+          Outliner.probe_windows ~options ~extern_sp_unsafe ~keep
             ~lengths:win_lengths shard_p
         in
         let pairs = List.map (fun c -> (hash c, c)) (win_cands @ long_cands) in
         let raw = Summary.of_candidates ~modul pairs in
-        (shard_p, pairs, raw, Unix.gettimeofday () -. t0))
+        (shard_p, pairs, raw, Unix.gettimeofday () -. t0, !materialized))
       shards
   in
   (* Phase 2 is the summary exchange, serial decision work interleaved
@@ -140,7 +189,7 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
   let t0 = Unix.gettimeofday () in
   let provisional =
     Summary.decide ~round:options.round
-      (Array.to_list (Array.map (fun (_, _, raw, _) -> raw) discovered))
+      (Array.to_list (Array.map (fun (_, _, raw, _, _) -> raw) discovered))
   in
   let prov_rank : (int64, int) Hashtbl.t = Hashtbl.create 256 in
   List.iter
@@ -154,7 +203,7 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
      advertised lengths and match foreign discoveries by content. *)
   let prov_len : (int64, int) Hashtbl.t = Hashtbl.create 256 in
   Array.iter
-    (fun (_, _, (raw : Summary.t), _) ->
+    (fun (_, _, (raw : Summary.t), _, _) ->
       List.iter
         (fun (pt : Summary.pattern) ->
           if
@@ -173,7 +222,7 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
     Pool.map ~workers
       (fun i ->
         let modul, _ = shards.(i) in
-        let shard_p, pairs, _, _ = discovered.(i) in
+        let shard_p, pairs, _, _, _ = discovered.(i) in
         let t0 = Unix.gettimeofday () in
         let local : (int64, unit) Hashtbl.t =
           Hashtbl.create (List.length pairs)
@@ -252,7 +301,7 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
     (fun (d : Summary.decision) ->
       if d.dc_sp_unsafe then Hashtbl.replace facts d.dc_name ())
     decisions;
-  let decide_s = prov_s +. (Unix.gettimeofday () -. t0) in
+  let decide_s = join_s +. prov_s +. (Unix.gettimeofday () -. t0) in
   (* Phase 3: parallel rewrite against the decision table. *)
   let jobs =
     Array.mapi (fun i (modul, funcs) ->
@@ -320,13 +369,15 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
       Array.to_list
         (Array.mapi
            (fun i (modul, funcs) ->
-             let _, _, _, enum_s = discovered.(i) in
+             let _, keys_s = keyed.(i) in
+             let _, _, _, enum_s, _ = discovered.(i) in
              let _, _, refine_s = refined.(i) in
              let _, _, _, rewrite_s = rewritten.(i) in
              {
                Report.rs_module = modul;
                rs_funcs = List.length funcs;
-               rs_discover = enum_s +. refine_s;
+               rs_keys = keys_s;
+               rs_discover = keys_s +. enum_s +. refine_s;
                rs_rewrite = rewrite_s;
              })
            shards)
@@ -335,8 +386,13 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
       {
         Report.rr_round = options.round;
         rr_shards = shard_reports;
+        rr_join = join_s;
         rr_decide = decide_s;
         rr_selected = List.length decisions;
+        rr_keyed = n_keyed;
+        rr_materialized =
+          Array.fold_left (fun n (_, _, _, _, m) -> n + m) 0 discovered;
+        rr_decisions = decisions;
       });
   let stats = sum_stats (Array.map (fun (_, _, s, _) -> s) rewritten) in
   if stats.Outliner.sequences_outlined = 0 then (p, stats)

@@ -24,20 +24,28 @@ val fact_sp_unsafe : facts -> string -> bool
 module Report : sig
   (** Per-round wall-time split for [--profile] and the bench harness: one
       entry per shard (discovery and rewrite seconds) plus the serial
-      global decision round. *)
+      global decision round, and the round's deterministic window
+      counters.  [rs_discover] and [rr_decide] include the count step's
+      time ([rs_keys], [rr_join]), so discovery, decision and rewrite still
+      cover the whole round. *)
 
   type shard = {
     rs_module : string;
     rs_funcs : int;
-    rs_discover : float;
+    rs_keys : float;             (** keying this shard's windows *)
+    rs_discover : float;         (** keying, materializing, refining *)
     rs_rewrite : float;
   }
 
   type round = {
     rr_round : int;
     rr_shards : shard list;      (** shard order *)
-    rr_decide : float;
+    rr_join : float;             (** counting the keys of every shard *)
+    rr_decide : float;           (** the join and both decisions *)
     rr_selected : int;           (** decision-table entries *)
+    rr_keyed : int;              (** legal windows keyed, all shards *)
+    rr_materialized : int;       (** windows built into candidates *)
+    rr_decisions : Summary.decision list;  (** the final decision table *)
   }
 
   type t
@@ -51,6 +59,7 @@ end
 
 val run_round :
   ?report:Report.t ->
+  ?hash_first:bool ->
   workers:int ->
   facts:facts ->
   options:Outcore.Outliner.options ->
@@ -61,4 +70,11 @@ val run_round :
     the decision table).  Newly selected sp-unsafe symbols are added to
     [facts].  When no global site is rewritten the input program is
     returned unchanged (mirroring the serial outliner's early stop), and
-    [sequences_outlined = 0] tells the driver to stop iterating. *)
+    [sequences_outlined = 0] tells the driver to stop iterating.
+
+    Discovery counts before it materializes: shards key every legal window
+    up to the scan cap ({!Outcore.Outliner.window_keys}), a serial join
+    counts the keys, and only windows whose key occurs at least twice in
+    the whole program become candidates.  [hash_first] (default [true])
+    set to [false] materializes every window instead; the decision table
+    and the output are the same either way. *)

@@ -2,7 +2,10 @@ let resolve_workers w = if w <= 0 then Domain.recommended_domain_count () else w
 
 let map_init ~workers ~init ~f arr =
   let n = Array.length arr in
-  let workers = min (max workers 1) n in
+  (* Domains beyond the host's cores only contend for them. *)
+  let workers =
+    min (min (max workers 1) n) (Domain.recommended_domain_count ())
+  in
   if workers <= 1 then begin
     let st = init () in
     Array.map (f st) arr

@@ -12,8 +12,12 @@ val resolve_workers : int -> int
 (** [<= 0] means auto-detect: {!Domain.recommended_domain_count}. *)
 
 val map : workers:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~workers f arr] with [min workers (Array.length arr)] domains
-    ([workers <= 1] runs inline on the calling domain, spawning nothing). *)
+(** [map ~workers f arr] with [min workers (Array.length arr)] domains,
+    capped at {!Domain.recommended_domain_count}: more domains than cores
+    only contend (on a 2-core host, 4 or 8 workers ran slower than 2).
+    One effective worker runs inline on the calling domain, spawning
+    nothing.  The cap never reaches the results, which are independent of
+    the worker count. *)
 
 val map_init :
   workers:int -> init:(unit -> 's) -> f:('s -> 'a -> 'b) -> 'a array -> 'b array

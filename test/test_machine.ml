@@ -145,6 +145,39 @@ let test_validate_errors () =
   Alcotest.(check (result unit string)) "extern resolves" (Ok ())
     (Program.validate ok_sym)
 
+let contains_substring text sub =
+  let n = String.length text and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub text i m = sub || at (i + 1)) in
+  at 0
+
+(* Regression: the parser accepts a conditional branch to an undefined
+   label, and [sizeopt outline] used to die with an uncaught [Not_found]
+   from liveness (exit 125).  The CLI must reject the file with a typed
+   error and exit 1. *)
+let test_cli_dangling_label () =
+  let src =
+    "func main:\nentry:\n  mov x1, #3\n  add x2, x1, #7\n  mul x3, x2, x1\n\
+    \  add x2, x1, #7\n  mul x3, x2, x1\n  cbz x0, nowhere, next\nnext:\n\
+    \  add x2, x1, #7\n  mul x3, x2, x1\n  ret\n"
+  in
+  let input = Filename.temp_file "dangling" ".s" in
+  let errors = Filename.temp_file "dangling" ".err" in
+  Out_channel.with_open_text input (fun oc -> output_string oc src);
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/sizeopt.exe outline %s > /dev/null 2> %s"
+         (Filename.quote input) (Filename.quote errors))
+  in
+  let stderr = In_channel.with_open_text errors In_channel.input_all in
+  Sys.remove input;
+  Sys.remove errors;
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "typed error naming the label: %S" stderr)
+    true
+    (String.starts_with ~prefix:"error: " stderr
+    && contains_substring stderr "nowhere")
+
 let test_parse_data () =
   let p = parse_exn "data tbl: 1 2 @f 4\nfunc f:\nentry:\n  adr x0, tbl\n  ret\n" in
   Alcotest.(check int) "data objects" 1 (List.length p.Program.data);
@@ -227,11 +260,6 @@ join:
     (Regset.mem Reg.NZCV (Liveness.live_before lv ~label:"entry" 2));
   Alcotest.(check bool) "x5 dead in block b" false
     (Regset.mem (Reg.x 5) (Liveness.live_before lv ~label:"b" 0))
-
-let contains_substring text sub =
-  let n = String.length text and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub text i m = sub || at (i + 1)) in
-  at 0
 
 let test_printer_parser_roundtrip () =
   let p = parse_exn simple_func in
@@ -332,6 +360,8 @@ let () =
           Alcotest.test_case "tail-call resolution" `Quick
             test_parse_tail_call_resolution;
           Alcotest.test_case "validation errors" `Quick test_validate_errors;
+          Alcotest.test_case "cli rejects dangling label" `Quick
+            test_cli_dangling_label;
           Alcotest.test_case "data" `Quick test_parse_data;
         ] );
       ( "liveness",

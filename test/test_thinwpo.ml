@@ -228,6 +228,120 @@ let test_thin_tracks_full_wpo () =
     true
     (t - f <= slack)
 
+(* --- count, then materialize ------------------------------------------------- *)
+
+(* Pre-outline machine programs from the fuzz lattice's seeded corpus
+   ([sizeopt fuzz --seed 1]): Swiftlet programs compiled with outlining
+   off, and direct machine programs with their functions dealt round-robin
+   into three modules so the round has shards to join across. *)
+let lattice_programs =
+  lazy
+    (List.filter_map
+       (fun index ->
+         let st = Random.State.make [| 1; index |] in
+         if index mod 4 = 3 then
+           let p = Fuzz.Machgen.generate st ~fuel:8 in
+           Some
+             (Program.replace_funcs p
+                (List.mapi
+                   (fun i (f : Mfunc.t) ->
+                     { f with Mfunc.from_module = Printf.sprintf "m%d" (i mod 3) })
+                   p.Program.funcs))
+         else
+           let srcs = Fuzz.Swiftgen.to_sources (Fuzz.Swiftgen.generate st ~fuel:8) in
+           match
+             Pipeline.build_sources
+               ~config:{ Pipeline.default_config with outline_rounds = 0 }
+               srcs
+           with
+           | Ok r -> Some r.Pipeline.program
+           | Error _ -> None)
+       (List.init 8 Fun.id))
+
+let test_hash_first_same_decisions () =
+  let decided = ref 0 and skipped = ref 0 in
+  List.iteri
+    (fun i p ->
+      let run hash_first p round =
+        let report = Thinwpo.Engine.Report.create () in
+        let p', _ =
+          Thinwpo.Engine.run_round ~report ~hash_first ~workers:1
+            ~facts:(Thinwpo.Engine.create_facts ())
+            ~options:{ Outcore.Outliner.default_options with round }
+            p
+        in
+        (p', List.hd (Thinwpo.Engine.Report.rounds report))
+      in
+      (* Three rounds, each started from the reference round's output. *)
+      let rec go p round =
+        if round <= 3 then begin
+          let ref_p, ref_r = run false p round in
+          let p', r = run true p round in
+          let label = Printf.sprintf "program %d round %d" i round in
+          Alcotest.(check bool) (label ^ ": same decision table") true
+            (r.rr_decisions = ref_r.rr_decisions);
+          Alcotest.(check string) (label ^ ": same program") (source ref_p)
+            (source p');
+          Alcotest.(check bool)
+            (label ^ ": materializes no more than it keyed")
+            true
+            (r.rr_materialized <= r.rr_keyed
+            && r.rr_materialized <= ref_r.rr_materialized);
+          skipped := !skipped + ref_r.rr_materialized - r.rr_materialized;
+          decided := !decided + List.length r.rr_decisions;
+          go ref_p (round + 1)
+        end
+      in
+      go p 1)
+    (Lazy.force lattice_programs);
+  (* Not vacuous: rounds decided something, and counting dropped windows. *)
+  Alcotest.(check bool) "the corpus produced decisions" true (!decided > 0);
+  Alcotest.(check bool) "counting skipped windows" true (!skipped > 0)
+
+let test_window_keys_module_independent () =
+  let body =
+    "  mov x1, #3\n  add x2, x1, #7\n  orr x4, xzr, x2\n  mul x3, x2, x1\n"
+  in
+  let shard modul label =
+    ok_exn
+      (Asm_parser.parse_program
+         (Printf.sprintf "func f_%s module=%s:\n%s:\n%s  ret\n" modul modul
+            label body))
+  in
+  let keys p =
+    let k = Outcore.Outliner.window_keys ~lengths:[ 2; 3; 4; 5 ] p in
+    Array.sort Int.compare k;
+    k
+  in
+  let a = keys (shard "alpha" "entry") in
+  Alcotest.(check int) "every legal window keyed" (4 + 3 + 2 + 1)
+    (Array.length a);
+  Alcotest.(check (array int)) "same block, same keys in another module" a
+    (keys (shard "beta" "top"));
+  (* [Mov (d, Rop s)] prints as [orr d, xzr, s], so summary hashes cannot
+     tell it from the [Binop] spelling, and neither may the keys. *)
+  let as_binop =
+    Mfunc.map_blocks (fun (blk : Block.t) ->
+        {
+          blk with
+          Block.body =
+            Array.map
+              (function
+                | Insn.Mov (d, (Insn.Rop _ as s)) ->
+                  Insn.Binop (Insn.Orr, d, Reg.XZR, s)
+                | i -> i)
+              blk.Block.body;
+        })
+  in
+  let p = shard "gamma" "entry" in
+  Alcotest.(check (array int)) "orr spelling of the move keys alike" a
+    (keys (Program.replace_funcs p (List.map as_binop p.Program.funcs)));
+  let other = ok_exn (Asm_parser.parse_program
+      "func g module=delta:\nentry:\n  mov x1, #4\n  add x2, x1, #7\n  ret\n")
+  in
+  Alcotest.(check bool) "different content, different keys" false
+    (Array.exists (fun k -> Array.mem k a) (keys other))
+
 (* --- degenerate shardings --------------------------------------------------- *)
 
 let repeats_body =
@@ -296,5 +410,12 @@ let () =
             test_thin_tracks_full_wpo;
           Alcotest.test_case "degenerate shardings" `Quick
             test_degenerate_shardings;
+        ] );
+      ( "counting",
+        [
+          Alcotest.test_case "same decisions as materializing all" `Quick
+            test_hash_first_same_decisions;
+          Alcotest.test_case "window keys ignore the module" `Quick
+            test_window_keys_module_independent;
         ] );
     ]
