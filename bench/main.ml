@@ -1024,7 +1024,7 @@ let layout_bench_impl ~assert_wins app =
   let program = r.Pipeline.program in
   let entries = "main" :: Workload.Appgen.span_entries in
   let args_for e = if e = "main" then [] else [ 1 ] in
-  let profile = Pgo.Collect.collect ~args_for ~workload:app_name ~entries program in
+  let profile, _ = Pgo.Collect.collect ~args_for ~workload:app_name ~entries program in
   let caller_affinity_order =
     List.map
       (fun (f : Machine.Mfunc.t) -> f.Machine.Mfunc.name)

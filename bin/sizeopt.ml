@@ -359,6 +359,7 @@ let build_cmd =
       | Some spec -> or_die (Pipeline.config_of_passes ~base:config spec)
     in
     let res = or_die (Pipeline.build_sources ~config sources) in
+    List.iter (fun w -> prerr_endline ("warning: " ^ w)) res.Pipeline.warnings;
     let est = Lazy.force res.Pipeline.layout.Linker.compressed in
     Printf.printf "binary size: %d B   code size: %d B   outlined rounds: %d\n"
       res.Pipeline.binary_size res.code_size
@@ -486,11 +487,18 @@ let profile_cmd =
     in
     let config = { Pipeline.default_config with mode; outline_rounds = rounds } in
     let res = or_die (Pipeline.build_sources ~config sources) in
-    let profile =
+    let profile, stops =
       Pgo.Collect.collect
         ~args_for:(fun e -> if e = "main" then [] else [ 1 ])
         ~workload ~entries res.Pipeline.program
     in
+    List.iter
+      (fun stop ->
+        prerr_endline
+          ("warning: "
+          ^ Pgo.Collect.stop_warning
+              ~budget:Pgo.Collect.default_config.Perfsim.Interp.max_steps stop))
+      stops;
     Pgo.Profile.save output profile;
     Printf.printf
       "wrote %s: %d entries, %d functions touched, %d call edges (weight %d)\n"

@@ -83,14 +83,10 @@ let classify_static (f : Mfunc.t) =
    tail, and splitting them would only mint symbols. *)
 let classify ?profile (f : Mfunc.t) =
   match profile with
-  | Some prof
-    when Pgo.Profile.has_block_counts prof && Pgo.Profile.executed prof f.name
-    ->
-    fun label -> Pgo.Profile.block_count prof ~func:f.name ~label = 0
-  | Some prof when Pgo.Profile.has_block_counts prof ->
-    (* never executed: keep whole *)
-    ignore prof;
-    fun _ -> false
+  | Some ix when Pgo.Profile.has_block_counts ix ->
+    if Pgo.Profile.executed ix f.name then fun label ->
+      Pgo.Profile.block_count ix ~func:f.name ~label = 0
+    else fun _ -> false (* never executed: keep whole *)
   | Some _ | None -> classify_static f
 
 (* --- splitting and branch elision ------------------------------------------- *)
@@ -140,6 +136,7 @@ let split_func ~cold (f : Mfunc.t) =
     { f with blocks = arranged; cold_from }
 
 let split_program ?profile (p : Program.t) =
+  let profile = Option.map Pgo.Profile.index profile in
   Program.replace_funcs p
     (List.map (fun f -> split_func ~cold:(classify ?profile f) f) p.funcs)
 

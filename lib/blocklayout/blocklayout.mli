@@ -16,7 +16,7 @@ val fault_drop_materialized_branch : bool ref
     fallthrough edges that do not reach their target.  Caught by
     [Program.validate] and by interp-vs-oracle divergence. *)
 
-val classify : ?profile:Pgo.Profile.t -> Machine.Mfunc.t -> string -> bool
+val classify : ?profile:Pgo.Profile.index -> Machine.Mfunc.t -> string -> bool
 (** Cold predicate over block labels.  With a block-level profile, a
     block of an executed function is cold iff its execution count is zero
     (never-executed functions are left whole).  Otherwise a static

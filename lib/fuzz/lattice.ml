@@ -907,6 +907,42 @@ let check_gmerge (p : Swiftgen.program) =
 
 (* --- the machine check ------------------------------------------------------- *)
 
+(* A collected profile's invariants: every function's count is its incoming
+   edge weight plus the runs started at it, the first-touch order lists
+   each function with a nonzero count once, and only executed functions
+   have block counts. *)
+let profile_conserved (p : Pgo.Profile.t) =
+  let ix = Pgo.Profile.index p in
+  let count = Pgo.Profile.count ix and executed = Pgo.Profile.executed ix in
+  let expected = Hashtbl.create 64 in
+  let add f n =
+    Hashtbl.replace expected f
+      (n + Option.value ~default:0 (Hashtbl.find_opt expected f))
+  in
+  List.iter (fun ((_, callee), w) -> add callee w) p.edges;
+  List.iter (fun e -> if executed e then add e 1) p.entries;
+  let expect f = Option.value ~default:0 (Hashtbl.find_opt expected f) in
+  let bad f = count f <> expect f || count f > 0 <> executed f in
+  let names =
+    List.map fst p.counts @ p.first_touch
+    @ List.of_seq (Hashtbl.to_seq_keys expected)
+  in
+  match
+    ( List.find_opt bad names,
+      List.find_opt (fun ((f, _), _) -> not (executed f)) p.blocks )
+  with
+  | Some f, _ ->
+    Error
+      (Printf.sprintf "%s: count %d, calls in + runs started %d, touched %b" f
+         (count f) (expect f) (executed f))
+  | None, _
+    when List.length (List.sort_uniq String.compare p.first_touch)
+         <> List.length p.first_touch ->
+    Error "the first-touch order repeats a function"
+  | None, Some ((f, l), _) ->
+    Error (Printf.sprintf "block %s %s of an unexecuted function" f l)
+  | None, None -> Ok ()
+
 let machine_points = [ ("r1", 1, false); ("r3", 3, false); ("r5", 5, false);
                        ("canon-r3", 3, true) ]
 
@@ -1023,9 +1059,11 @@ let check_machine (p : Machine.Program.t) =
        and require the split program — run under the stitched chain order,
        so the interpreter sees the exact placed byte sequence — to
        validate, reproduce the base result, and never grow.  This is the
-       point the dropped-materialized-branch fault must trip. *)
+       point the dropped-materialized-branch fault must trip.  The profile
+       itself must be conserved ([profile_conserved]), truncated and
+       trapping runs included. *)
     if !failure = None then begin
-      let profile =
+      let profile, _ =
         Pgo.Collect.collect
           ~config:
             {
@@ -1035,11 +1073,14 @@ let check_machine (p : Machine.Program.t) =
           ~workload:"fuzz" ~entries:[ "main" ] p
       in
       let split, order = Blocklayout.apply ~profile p in
-      match Machine.Program.validate split with
-      | Error msg ->
+      match (profile_conserved profile, Machine.Program.validate split) with
+      | Error msg, _ ->
+        failure :=
+          Some { point = "stitch"; reason = "profile not conserved: " ^ msg }
+      | Ok (), Error msg ->
         failure :=
           Some { point = "stitch"; reason = "invalid after hot/cold split: " ^ msg }
-      | Ok () -> (
+      | Ok (), Ok () -> (
         let size = Machine.Program.code_size_bytes split in
         if size > base_size then
           failure :=

@@ -88,6 +88,13 @@ val check_serve : Swiftgen.program -> verdict
     point is what the self-test's stale-cache fault phase
     ({!Serve.Server.fault_stale_cache_entry}) hunts and shrinks with. *)
 
+val profile_conserved : Pgo.Profile.t -> (unit, string) result
+(** The invariants a collected profile keeps: every function's count is
+    its incoming edge weight plus the runs started at it, the first-touch
+    order lists each function with a nonzero count exactly once, and only
+    executed functions have block counts.  [Error] names a violation.
+    {!check_machine} requires them of every profile it splits by. *)
+
 val check_machine : Machine.Program.t -> verdict
 (** Direct outliner stress for generated machine programs: the
     uninstrumented interpreter run is the oracle; {!Outcore.Repeat.run}

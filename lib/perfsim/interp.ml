@@ -1,11 +1,5 @@
 open Machine
 
-type trace_event =
-  | Ev_entry of string
-  | Ev_call of { caller : string; callee : string; tail : bool }
-  | Ev_first_touch of string
-  | Ev_block of { func : string; label : string }
-
 type config = {
   device : Device.t;
   os : Device.os;
@@ -13,7 +7,6 @@ type config = {
   model_perf : bool;
   unknown_extern : [ `Error | `Noop ];
   trace_ring : int;  (* >0: keep a ring of recent pc slots, dumped on errors *)
-  trace : (trace_event -> unit) option;
 }
 
 let default_config =
@@ -24,7 +17,6 @@ let default_config =
     model_perf = true;
     unknown_extern = `Error;
     trace_ring = 0;
-    trace = None;
   }
 
 type result = {
@@ -43,6 +35,14 @@ type result = {
   cold_start_cost : int;
   branches : int;
   calls : int;
+}
+
+type counts = {
+  slot_func : string array;
+  block_starts : (int * string * string) list;
+  hits : int array;
+  calls : ((int * int) * int) list;
+  first_entries : int list;
 }
 
 type error =
@@ -246,7 +246,7 @@ let runtime_call st name =
 let term_slots (b : Block.t) =
   match b.Block.term with Block.Fallthrough _ -> 0 | _ -> 1
 
-let build_slots ?(track_blocks = false) (p : Program.t) layout =
+let build_slots (p : Program.t) layout =
   let chains =
     List.concat_map
       (fun (f : Mfunc.t) ->
@@ -268,27 +268,17 @@ let build_slots ?(track_blocks = false) (p : Program.t) layout =
      next block in the chain. *)
   let block_slot = Hashtbl.create 1024 in
   let func_slot = Hashtbl.create 256 in
-  let block_starts = Hashtbl.create (if track_blocks then 1024 else 1) in
+  let starts = ref [] in
   let counter = ref 0 in
   List.iter
     (fun (_, (f : Mfunc.t), blocks) ->
       List.iter
         (fun (b : Block.t) ->
           Hashtbl.replace block_slot (f.name, b.Block.label) !counter;
-          if track_blocks then
-            Hashtbl.replace block_starts !counter
-              ((f.name, b.Block.label)
-              :: Option.value ~default:[]
-                   (Hashtbl.find_opt block_starts !counter));
+          starts := (!counter, f.name, b.Block.label) :: !starts;
           counter := !counter + Array.length b.Block.body + term_slots b)
         blocks)
     chains;
-  if track_blocks then
-    (* Shared start slots accumulate labels in reverse chain order; put
-       them back in execution order. *)
-    Hashtbl.iter
-      (fun k v -> Hashtbl.replace block_starts k (List.rev v))
-      (Hashtbl.copy block_starts);
   List.iter
     (fun (f : Mfunc.t) ->
       match f.blocks with
@@ -377,7 +367,7 @@ let build_slots ?(track_blocks = false) (p : Program.t) layout =
     extern_of_addr,
     func_names,
     slot_outlined,
-    block_starts )
+    List.rev !starts )
 
 let init_memory (p : Program.t) layout mem =
   List.iter
@@ -475,11 +465,16 @@ let last_backtrace = ref []
 let last_trace_ref : string list ref = ref []
 let last_trace () = !last_trace_ref
 
-let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
+(* [counting] fills [counts]: a hit per executed slot, the callee of
+   every dynamic call, and each slot's first entry by a call.  Static call
+   sites need no table of their own: a [bl]/tail-call slot's hits are its
+   calls.  With counting off the loop pays one untaken branch per step. *)
+let exec ~counting ?(config = default_config) ?(args = []) ?order ~entry
+    (p : Program.t) =
   last_backtrace := [];
   last_trace_ref := [];
   match Program.find_func p entry with
-  | None -> Error (No_entry entry)
+  | None -> (Error (No_entry entry), None)
   | Some _ -> (
     let layout = Linker.link ?order p in
     let ( slots,
@@ -489,7 +484,7 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           func_names,
           slot_outlined,
           block_starts ) =
-      build_slots ~track_blocks:(config.trace <> None) p layout
+      build_slots p layout
     in
     let d = config.device in
     let st =
@@ -530,7 +525,36 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
         cold_last_page = -1;
       }
     in
+    let n = if counting then Array.length slots else 0 in
+    let hits = Array.make n 0 and entered = Array.make n false in
+    let dynamic_calls = Hashtbl.create 16 in
+    let first_rev = ref [] and started = ref false in
+    let enter s =
+      if counting && not entered.(s) then begin
+        entered.(s) <- true;
+        first_rev := s :: !first_rev
+      end
+    in
+    let counts () =
+      if not (counting && !started) then None
+      else
+        let calls = ref [] in
+        Hashtbl.iter
+          (fun k c -> calls := ((k / n, k mod n), c) :: !calls)
+          dynamic_calls;
+        Array.iteri
+          (fun i -> function
+            | (S_bl (T_slot s, _) | S_tail (T_slot s)) when hits.(i) > 0 ->
+              calls := ((i, s), hits.(i)) :: !calls
+            | _ -> ())
+          slots;
+        Some
+          { slot_func = func_names; block_starts; hits; calls = !calls;
+            first_entries = List.rev !first_rev }
+    in
     let dump_hook = ref (fun () -> ()) in
+    (fun outcome -> (outcome, counts ()))
+    @@
     try
       init_memory p layout st.mem;
       List.iteri (fun i v -> if i < Reg.max_args then set_reg st (Reg.arg i) v) args;
@@ -588,35 +612,7 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           Printf.eprintf "---------------------------------\n%!"
       in
       dump_hook := dump_ring;
-      (* Structured trace events (function entry / call edge / first
-         touch) for profile collection — see Pgo.Collect. *)
-      let touched = Hashtbl.create 64 in
-      let emit_enter ~caller ~tail callee =
-        match config.trace with
-        | None -> ()
-        | Some emit ->
-          (match caller with
-          | Some c -> emit (Ev_call { caller = c; callee; tail })
-          | None -> ());
-          if not (Hashtbl.mem touched callee) then begin
-            Hashtbl.replace touched callee ();
-            emit (Ev_first_touch callee)
-          end;
-          emit (Ev_entry callee)
-      in
-      emit_enter ~caller:None ~tail:false entry;
-      let emit_block =
-        match config.trace with
-        | None -> fun _ -> ()
-        | Some emit ->
-          fun idx ->
-            (match Hashtbl.find_opt block_starts idx with
-            | Some bs ->
-              List.iter
-                (fun (fn, l) -> emit (Ev_block { func = fn; label = l }))
-                bs
-            | None -> ())
-      in
+      started := true;
       let jump_to_address a =
         if a = exit_address then running := false
         else
@@ -650,7 +646,7 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           incr ring_pos
         | None -> ());
         fetch_costs st addr;
-        emit_block idx;
+        if counting then hits.(idx) <- hits.(idx) + 1;
         st.steps <- st.steps + 1;
         if slot_outlined.(idx) then st.outlined_steps <- st.outlined_steps + 1;
         (match st.slots.(idx) with
@@ -665,7 +661,7 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           | T_slot s ->
             st.calls <- st.calls + 1;
             cold_push st;
-            emit_enter ~caller:(Some func_names.(idx)) ~tail:false func_names.(s);
+            enter s;
             st.shadow_stack <- func_names.(s) :: st.shadow_stack;
             pc := s
           | T_extern name -> do_extern name (idx + 1))
@@ -678,7 +674,12 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           | Some s ->
             st.calls <- st.calls + 1;
             cold_push st;
-            emit_enter ~caller:(Some func_names.(idx)) ~tail:false func_names.(s);
+            enter s;
+            if counting then begin
+              let k = (idx * n) + s in
+              Hashtbl.replace dynamic_calls k
+                (1 + Option.value ~default:0 (Hashtbl.find_opt dynamic_calls k))
+            end;
             st.shadow_stack <- func_names.(s) :: st.shadow_stack;
             pc := s
           | None -> (
@@ -715,7 +716,7 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           st.branches <- st.branches + 1;
           match t with
           | T_slot s ->
-            emit_enter ~caller:(Some func_names.(idx)) ~tail:true func_names.(s);
+            enter s;
             (match st.shadow_stack with
             | _ :: rest -> st.shadow_stack <- func_names.(s) :: rest
             | [] -> st.shadow_stack <- [ func_names.(s) ]);
@@ -762,6 +763,11 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
       last_backtrace := st.shadow_stack;
       Error e)
 
+let run ?config ?args ?order ~entry p =
+  fst (exec ~counting:false ?config ?args ?order ~entry p)
+
+let run_counted ?config ?args ~entry p =
+  exec ~counting:true ?config ?args ~entry p
 
 (* The §VI-4 anecdote: a failure inside an outlined function shows
    OUTLINED_FUNCTION_* on top of the stack; the real feature code is one

@@ -12,19 +12,6 @@
     [objc_retain], [objc_release], [swift_beginAccess], [swift_endAccess],
     [print_i64], [swift_bounds_fail], [memcpy8]. *)
 
-type trace_event =
-  | Ev_entry of string
-      (** a function begins executing: the initial entry, a resolved
-          [BL]/[BLR], or a tail transfer *)
-  | Ev_call of { caller : string; callee : string; tail : bool }
-      (** a resolved intra-image dynamic call edge *)
-  | Ev_first_touch of string
-      (** the first time any instruction of the function executes —
-          the startup first-touch order *)
-  | Ev_block of { func : string; label : string }
-      (** a basic block begins executing; the block-granularity counts
-          behind hot/cold splitting (see Blocklayout) *)
-
 type config = {
   device : Device.t;
   os : Device.os;
@@ -37,11 +24,6 @@ type config = {
       (** when positive, keep a ring of the most recent program counters
           and dump a symbolized trace (also exposed via {!last_trace})
           if execution fails *)
-  trace : (trace_event -> unit) option;
-      (** structured observability surface: when set, every function
-          entry, resolved call edge and first touch is reported in
-          execution order.  This is what {!Pgo.Collect} hooks to build
-          layout profiles; it does not perturb the cost model. *)
 }
 
 val default_config : config
@@ -84,6 +66,21 @@ type error =
 
 val error_to_string : error -> string
 
+(** What a {!run_counted} run executed, indexed by code slot: the flat
+    instruction array the interpreter runs, in address order.  Naming is
+    left to the caller ({!Pgo.Collect}), so a step costs one increment. *)
+type counts = {
+  slot_func : string array;  (** the function of each slot *)
+  block_starts : (int * string * string) list;
+      (** [(slot, func, label)] of every block, in address order; an empty
+          block shares the next block's slot *)
+  hits : int array;  (** executions of each slot *)
+  calls : ((int * int) * int) list;
+      (** [(call-site slot, callee slot)] -> intra-image calls and tail
+          calls through that site *)
+  first_entries : int list;  (** slots first entered by a call, in order *)
+}
+
 val run :
   ?config:config ->
   ?args:int list ->
@@ -96,6 +93,15 @@ val run :
     function placement (and hence icache/iTLB behaviour) without
     touching a single code byte — the lever the profile-guided layout
     experiments pull. *)
+
+val run_counted :
+  ?config:config ->
+  ?args:int list ->
+  entry:string ->
+  Machine.Program.t ->
+  (result, error) Stdlib.result * counts option
+(** {!run} with counting on; [None] when the run never started.  A run
+    that traps or exhausts [max_steps] still counts its executed prefix. *)
 
 val run_with_backtrace :
   ?config:config ->

@@ -1,54 +1,5 @@
-type t = {
-  mutable entries_rev : string list;
-  counts : (string, int) Hashtbl.t;
-  edges : (string * string, int) Hashtbl.t;
-  blocks : (string * string, int) Hashtbl.t;
-  mutable touch_rev : string list;
-  touched : (string, unit) Hashtbl.t;
-}
-
-let create () =
-  {
-    entries_rev = [];
-    counts = Hashtbl.create 256;
-    edges = Hashtbl.create 1024;
-    blocks = Hashtbl.create 4096;
-    touch_rev = [];
-    touched = Hashtbl.create 256;
-  }
-
-let hook c (ev : Perfsim.Interp.trace_event) =
-  match ev with
-  | Perfsim.Interp.Ev_entry f ->
-    Hashtbl.replace c.counts f (1 + Option.value ~default:0 (Hashtbl.find_opt c.counts f))
-  | Perfsim.Interp.Ev_call { caller; callee; tail = _ } ->
-    let key = (caller, callee) in
-    Hashtbl.replace c.edges key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt c.edges key))
-  | Perfsim.Interp.Ev_first_touch f ->
-    (* First-touch is per run; across runs keep the earliest global order. *)
-    if not (Hashtbl.mem c.touched f) then begin
-      Hashtbl.replace c.touched f ();
-      c.touch_rev <- f :: c.touch_rev
-    end
-  | Perfsim.Interp.Ev_block { func; label } ->
-    let key = (func, label) in
-    Hashtbl.replace c.blocks key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt c.blocks key))
-
-let record_entry c e = c.entries_rev <- e :: c.entries_rev
-
-let profile c ~workload =
-  Profile.make ~workload
-    ~entries:(List.rev c.entries_rev)
-    ~first_touch:(List.rev c.touch_rev)
-    ~counts:(Hashtbl.fold (fun f n acc -> (f, n) :: acc) c.counts [])
-    ~edges:(Hashtbl.fold (fun k n acc -> (k, n) :: acc) c.edges [])
-    ~blocks:(Hashtbl.fold (fun k n acc -> (k, n) :: acc) c.blocks [])
-    ()
-
-(* Profiling wants events, not timings: the cost model off makes the run
-   cheaper without changing a single event.  Unknown externs are no-ops so
+(* Profiling wants counts, not timings: the cost model off makes the run
+   cheaper without changing a single count.  Unknown externs are no-ops so
    partially-modelled programs still yield a usable (partial) profile. *)
 let default_config =
   {
@@ -58,15 +9,63 @@ let default_config =
     max_steps = 50_000_000;
   }
 
+let self_profile_steps = 20_000_000
+
+let bump h k n =
+  Hashtbl.replace h k (n + Option.value ~default:0 (Hashtbl.find_opt h k))
+
 let collect ?(config = default_config) ?(args_for = fun _ -> []) ~workload
     ~entries program =
-  let c = create () in
-  List.iter
-    (fun entry ->
-      record_entry c entry;
-      let cfg = { config with Perfsim.Interp.trace = Some (hook c) } in
-      (* Errors (missing entry, trap, step limit) keep the events seen so
-         far: a crashing span still contributes its prefix. *)
-      ignore (Perfsim.Interp.run ~config:cfg ~args:(args_for entry) ~entry program))
-    entries;
-  profile c ~workload
+  let counts = Hashtbl.create 256 and edges = Hashtbl.create 1024 in
+  let blocks = Hashtbl.create 4096 and touched = Hashtbl.create 256 in
+  let touch_rev = ref [] in
+  (* First touch is per run; across runs keep the earliest global order. *)
+  let touch f =
+    if not (Hashtbl.mem touched f) then begin
+      Hashtbl.replace touched f ();
+      touch_rev := f :: !touch_rev
+    end
+  in
+  let stops =
+    List.filter_map
+      (fun entry ->
+        (* A run that traps or exhausts its budget still counts what it
+           executed: a crashing span contributes its prefix. *)
+        let outcome, counted =
+          Perfsim.Interp.run_counted ~config ~args:(args_for entry) ~entry
+            program
+        in
+        Option.iter
+          (fun (c : Perfsim.Interp.counts) ->
+            let name s = c.slot_func.(s) in
+            bump counts entry 1;
+            touch entry;
+            List.iter (fun s -> touch (name s)) c.first_entries;
+            List.iter
+              (fun ((site, callee), n) ->
+                bump edges (name site, name callee) n;
+                bump counts (name callee) n)
+              c.calls;
+            List.iter
+              (fun (s, f, l) ->
+                if c.hits.(s) > 0 then bump blocks (f, l) c.hits.(s))
+              c.block_starts)
+          counted;
+        match outcome with Ok _ -> None | Error e -> Some (entry, e))
+      entries
+  in
+  let pairs h = Hashtbl.fold (fun k n acc -> (k, n) :: acc) h [] in
+  ( Profile.make ~workload ~entries ~first_touch:(List.rev !touch_rev)
+      ~counts:(pairs counts) ~edges:(pairs edges) ~blocks:(pairs blocks) (),
+    stops )
+
+let self_profile program =
+  collect
+    ~config:{ default_config with max_steps = self_profile_steps }
+    ~workload:"self" ~entries:[ "main" ] program
+
+let stop_warning ~budget (entry, e) =
+  Printf.sprintf
+    "profile run of %s stopped early (%s; budget %d steps): layout uses the \
+     executed prefix"
+    entry (Perfsim.Interp.error_to_string e) budget

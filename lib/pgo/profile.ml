@@ -25,16 +25,33 @@ let make ?(blocks = []) ~workload ~entries ~first_touch ~counts ~edges () =
 let empty ~workload =
   make ~workload ~entries:[] ~first_touch:[] ~counts:[] ~edges:[] ()
 
-let count p f = Option.value ~default:0 (List.assoc_opt f p.counts)
-let edge_weight p ~caller ~callee =
-  Option.value ~default:0 (List.assoc_opt (caller, callee) p.edges)
+type index = {
+  by_func : (string, int) Hashtbl.t;
+  by_edge : (string * string, int) Hashtbl.t;
+  by_block : (string * string, int) Hashtbl.t;
+  touched : (string, unit) Hashtbl.t;
+}
 
-let block_count p ~func ~label =
-  Option.value ~default:0 (List.assoc_opt (func, label) p.blocks)
+(* The first binding of a key wins, as with [List.assoc]. *)
+let table pairs =
+  let h = Hashtbl.create (List.length pairs) in
+  List.iter (fun (k, v) -> Hashtbl.replace h k v) (List.rev pairs);
+  h
 
-let has_block_counts p = p.blocks <> []
+let index p =
+  {
+    by_func = table p.counts;
+    by_edge = table p.edges;
+    by_block = table p.blocks;
+    touched = table (List.map (fun f -> (f, ())) p.first_touch);
+  }
 
-let executed p f = List.mem f p.first_touch
+let lookup h k = Option.value ~default:0 (Hashtbl.find_opt h k)
+let count ix f = lookup ix.by_func f
+let edge_weight ix ~caller ~callee = lookup ix.by_edge (caller, callee)
+let block_count ix ~func ~label = lookup ix.by_block (func, label)
+let executed ix f = Hashtbl.mem ix.touched f
+let has_block_counts ix = Hashtbl.length ix.by_block > 0
 
 let total_edge_weight p = List.fold_left (fun a (_, w) -> a + w) 0 p.edges
 

@@ -35,18 +35,24 @@ val make :
 
 val empty : workload:string -> t
 
-val count : t -> string -> int
-val edge_weight : t -> caller:string -> callee:string -> int
+type index
+(** Hash tables over a profile's counts, edges, blocks and first-touch
+    set.  Build it once per profile, then look up in O(1). *)
 
-val block_count : t -> func:string -> label:string -> int
-val has_block_counts : t -> bool
+val index : t -> index
+
+val count : index -> string -> int
+val edge_weight : index -> caller:string -> callee:string -> int
+val block_count : index -> func:string -> label:string -> int
+
+val executed : index -> string -> bool
+(** A function is "hot" iff it was first-touched; never-executed
+    functions are what hot/cold splitting sends to the image tail. *)
+
+val has_block_counts : index -> bool
 (** Whether the profile carries any block-granularity data; when it does
     not, block-level consumers (hot/cold splitting) must fall back to
     static heuristics. *)
-
-val executed : t -> string -> bool
-(** A function is "hot" iff it was first-touched; never-executed
-    functions are what hot/cold splitting sends to the image tail. *)
 
 val total_edge_weight : t -> int
 val equal : t -> t -> bool

@@ -121,6 +121,7 @@ type result = {
   outline_stats : Outcore.Outliner.round_stats list;
   outline_profile : Outcore.Profile.t;
   thin_profile : Thinwpo.Engine.Report.t;
+  warnings : string list;
 }
 
 (* --- pipeline specs -------------------------------------------------------- *)
@@ -753,20 +754,21 @@ let build ?dump ?(config = default_config) modules =
     | Ok () -> ()
     | Error e -> failwith ("pipeline produced invalid program: " ^ e));
     (* Profile-guided strategies close the loop here: use the recorded
-       profile (--profile-in), or self-profile by tracing a [main] run of
-       the just-built program. *)
+       profile (--profile-in), or self-profile by counting a [main] run of
+       the just-built program.  A run cut short by its budget or a trap
+       still profiles its prefix, and says so. *)
+    let warnings = ref [] in
     let layout_profile () =
       match config.layout_profile with
       | Some p -> p
       | None ->
         timed "pgo-collect" (fun () ->
-            Pgo.Collect.collect
-              ~config:
-                {
-                  Pgo.Collect.default_config with
-                  Perfsim.Interp.max_steps = 20_000_000;
-                }
-              ~workload:"self" ~entries:[ "main" ] program)
+            let profile, stops = Pgo.Collect.self_profile program in
+            warnings :=
+              List.map
+                (Pgo.Collect.stop_warning ~budget:Pgo.Collect.self_profile_steps)
+                stops;
+            profile)
     in
     let program, function_order =
       match config.outlined_layout with
@@ -815,6 +817,7 @@ let build ?dump ?(config = default_config) modules =
         outline_stats = !outline_stats;
         outline_profile;
         thin_profile = thin_report;
+        warnings = !warnings;
       }
   with Failure e -> Error e
 
@@ -945,13 +948,7 @@ let build_reference ?(config = default_config) modules =
           | Some p -> p
           | None ->
             reference_timed timings "pgo-collect" (fun () ->
-                Pgo.Collect.collect
-                  ~config:
-                    {
-                      Pgo.Collect.default_config with
-                      Perfsim.Interp.max_steps = 20_000_000;
-                    }
-                  ~workload:"self" ~entries:[ "main" ] program)
+                fst (Pgo.Collect.self_profile program))
         in
         Some
           (reference_timed timings "pgo-layout" (fun () ->
@@ -974,5 +971,6 @@ let build_reference ?(config = default_config) modules =
         outline_stats = !outline_stats;
         outline_profile;
         thin_profile = Thinwpo.Engine.Report.create ();
+        warnings = [];
       }
   with Failure e -> Error e

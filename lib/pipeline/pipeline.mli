@@ -99,8 +99,10 @@ type config = {
   layout_profile : Pgo.Profile.t option;
       (** the recorded profile driving a profile-guided [outlined_layout]
           ([sizeopt build --profile-in]).  [None] with a profile-guided
-          strategy self-profiles: the pipeline traces a [main] run of the
-          built program and feeds that profile straight back into layout. *)
+          strategy self-profiles: the pipeline profiles a [main] run of the
+          built program ({!Pgo.Collect.self_profile}) and feeds that
+          profile straight back into layout; a run cut short adds a
+          [warnings] line. *)
   run_canonicalize : bool;
       (** canonicalize commutative operand order before outlining (the
           paper's future-work item 1); off by default *)
@@ -182,6 +184,10 @@ type result = {
       (** thin-WPO only: per-round shard timings and the global decision
           round, also woven into [timing_tree] (one subtree per shard) and
           serialized into BENCH_thinwpo.json by the bench harness *)
+  warnings : string list;
+      (** problems the build worked around, one line each: today, a
+          self-profile run that stopped early (step budget or trap), so
+          the layout was built from a truncated profile *)
 }
 
 val build :

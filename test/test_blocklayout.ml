@@ -60,19 +60,20 @@ entry:
 
 let split_sample () =
   let p = parse sample_src in
-  let profile = Pgo.Collect.collect ~workload:"t" ~entries:[ "main" ] p in
+  let profile, _ = Pgo.Collect.collect ~workload:"t" ~entries:[ "main" ] p in
   Alcotest.(check bool) "profile carries block counts" true
-    (Pgo.Profile.has_block_counts profile);
+    (Pgo.Profile.has_block_counts (Pgo.Profile.index profile));
   (p, profile, Blocklayout.split_program ~profile p)
 
 (* --- splitting and terminator rewrites -------------------------------------- *)
 
 let test_split_classification () =
   let _, profile, split = split_sample () in
+  let ix = Pgo.Profile.index profile in
   Alcotest.(check int) "coldpath never executed" 0
-    (Pgo.Profile.block_count profile ~func:"main" ~label:"coldpath");
+    (Pgo.Profile.block_count ix ~func:"main" ~label:"coldpath");
   Alcotest.(check bool) "hotpath executed" true
-    (Pgo.Profile.block_count profile ~func:"main" ~label:"hotpath" > 0);
+    (Pgo.Profile.block_count ix ~func:"main" ~label:"hotpath" > 0);
   let main = find_func split "main" in
   Alcotest.(check (option string)) "main split at coldpath"
     (Some "coldpath") main.Mfunc.cold_from;

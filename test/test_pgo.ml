@@ -1,7 +1,8 @@
 (* Tests for the profile-guided layout subsystem (lib/pgo): profile
-   serialization, trace collection determinism, the ordering strategies'
-   permutation/hot-cold/differential properties, Linker.link ~order, and
-   the caller-affinity anchor chasing they compete against. *)
+   serialization, collection (determinism, golden profiles, conservation,
+   runs cut short), the ordering strategies' permutation/hot-cold/
+   differential properties, Linker.link ~order, and the caller-affinity
+   anchor chasing they compete against. *)
 
 open Machine
 
@@ -52,7 +53,7 @@ entry:
 
 let collect_sample () =
   let p = sample_program () in
-  (p, Pgo.Collect.collect ~workload:"sample" ~entries:[ "main" ] p)
+  (p, fst (Pgo.Collect.collect ~workload:"sample" ~entries:[ "main" ] p))
 
 (* --- Profile serialization ------------------------------------------------ *)
 
@@ -72,11 +73,12 @@ let test_profile_roundtrip () =
     Alcotest.(check string) "canonical re-serialization" s
       (Pgo.Profile.to_string p')
   | Error e -> Alcotest.fail ("of_string: " ^ e));
-  Alcotest.(check int) "count a" 5 (Pgo.Profile.count profile "a");
+  let ix = Pgo.Profile.index profile in
+  Alcotest.(check int) "count a" 5 (Pgo.Profile.count ix "a");
   Alcotest.(check int) "edge b->a" 5
-    (Pgo.Profile.edge_weight profile ~caller:"b" ~callee:"a");
-  Alcotest.(check bool) "executed" true (Pgo.Profile.executed profile "b");
-  Alcotest.(check bool) "not executed" false (Pgo.Profile.executed profile "z")
+    (Pgo.Profile.edge_weight ix ~caller:"b" ~callee:"a");
+  Alcotest.(check bool) "executed" true (Pgo.Profile.executed ix "b");
+  Alcotest.(check bool) "not executed" false (Pgo.Profile.executed ix "z")
 
 let test_profile_rejects_garbage () =
   let bad v =
@@ -97,14 +99,15 @@ let test_collect_events () =
     "first touch follows execution order"
     [ "main"; "helper"; "mid"; "leaf" ]
     profile.Pgo.Profile.first_touch;
+  let ix = Pgo.Profile.index profile in
   (* helper entered from both main and mid. *)
-  Alcotest.(check int) "helper entries" 2 (Pgo.Profile.count profile "helper");
+  Alcotest.(check int) "helper entries" 2 (Pgo.Profile.count ix "helper");
   Alcotest.(check int) "main->helper" 1
-    (Pgo.Profile.edge_weight profile ~caller:"main" ~callee:"helper");
+    (Pgo.Profile.edge_weight ix ~caller:"main" ~callee:"helper");
   Alcotest.(check int) "mid->helper" 1
-    (Pgo.Profile.edge_weight profile ~caller:"mid" ~callee:"helper");
+    (Pgo.Profile.edge_weight ix ~caller:"mid" ~callee:"helper");
   Alcotest.(check bool) "cold function untouched" false
-    (Pgo.Profile.executed profile "cold_never")
+    (Pgo.Profile.executed ix "cold_never")
 
 let test_profile_determinism () =
   (* Same program + same workload twice: byte-identical serialization. *)
@@ -120,10 +123,301 @@ let test_profile_determinism () =
   let args_for e = if e = "main" then [] else [ 1 ] in
   let collect () =
     Pgo.Profile.to_string
-      (Pgo.Collect.collect ~args_for ~workload:"small" ~entries
-         res.Pipeline.program)
+      (fst
+         (Pgo.Collect.collect ~args_for ~workload:"small" ~entries
+            res.Pipeline.program))
   in
   Alcotest.(check string) "byte-identical profiles" (collect ()) (collect ())
+
+(* --- Golden profiles ---------------------------------------------------------
+
+   Serialized profiles frozen from the collector that predated the
+   interpreter's slot counters, which received one callback per block
+   entry and per call.  The counting collector must reproduce them byte
+   for byte.  The sample program and the small app (the file
+   `sizeopt profile --app small` writes; CI compares the two) are kept
+   whole, every profile also as an MD5 digest in profile_digests.txt. *)
+
+let build_exn ?(config = Pipeline.default_config) sources =
+  match Pipeline.build_sources ~config sources with
+  | Ok r -> r.Pipeline.program
+  | Error e -> Alcotest.fail e
+
+(* What `sizeopt profile --app small` traces: main plus every span entry,
+   spans called with 1, over a week-0 whole-program build at 5 rounds. *)
+let small_app_profile () =
+  let program =
+    build_exn
+      ~config:
+        { Pipeline.default_config with
+          mode = Pipeline.Whole_program; outline_rounds = 5 }
+      (Workload.Appgen.generate_sources
+         (Workload.Appgen.at_week Workload.Appgen.small 0))
+  in
+  fst
+    (Pgo.Collect.collect
+       ~args_for:(fun e -> if e = "main" then [] else [ 1 ])
+       ~workload:"small"
+       ~entries:("main" :: Workload.Appgen.span_entries)
+       program)
+
+(* Shapes the sample program lacks: a dynamic [blr] call, a tail call, an
+   empty block sharing its start slot with the next, a never-taken path,
+   and, once split, a cold chain in __text_cold. *)
+let shapes_src =
+  {|
+extern print_i64
+func main:
+entry:
+  stp fp, lr, [sp, #-16]!
+  mov x19, #3
+  fall loop
+loop:
+  adr x1, twice
+  mov x0, x19
+  blr x1
+  bl print_i64
+  sub x19, x19, #1
+  cbnz x19, loop, empty
+empty:
+  fall done
+done:
+  bl tailer
+  ldp fp, lr, [sp], #16
+  ret
+func twice:
+entry:
+  cbz x0, never, ok
+never:
+  mov x0, #77
+  bl print_i64
+  fall ok
+ok:
+  add x0, x0, x0
+  ret
+func tailer:
+entry:
+  mov x0, #4
+  b twice
+|}
+
+(* Runs that stop early: a trap after a call, and a loop that only the
+   step budget ends. *)
+let trap_src =
+  {|
+extern swift_bounds_fail
+func main:
+entry:
+  stp fp, lr, [sp, #-16]!
+  bl leaf
+  bl swift_bounds_fail
+  ldp fp, lr, [sp], #16
+  ret
+func leaf:
+entry:
+  mov x0, #1
+  ret
+|}
+
+let spin_src =
+  {|
+func main:
+entry:
+  fall spin
+spin:
+  bl leaf
+  b spin
+func leaf:
+entry:
+  ret
+|}
+
+(* The fuzz lattice's split-then-place budget. *)
+let lattice_config =
+  { Pgo.Collect.default_config with Perfsim.Interp.max_steps = 2_000_000 }
+
+let lattice_profile p =
+  fst
+    (Pgo.Collect.collect ~config:lattice_config ~workload:"fuzz"
+       ~entries:[ "main" ] p)
+
+let crafted_profiles () =
+  let shapes = parse shapes_src in
+  let shapes_profile = lattice_profile shapes in
+  [
+    ("shapes", shapes_profile);
+    ( "shapes-split",
+      lattice_profile
+        (Blocklayout.split_program ~profile:shapes_profile shapes) );
+    ("trap", lattice_profile (parse trap_src));
+    ("spin", lattice_profile (parse spin_src));
+  ]
+
+(* The corpus of `sizeopt fuzz --seed 1 --fuel 8`, programs 0-7: Swiftlet
+   programs compiled with outlining off, every fourth a direct machine
+   program.  None of them traps or runs out of budget; the crafted
+   programs above cover those runs. *)
+let fuzz_profiles () =
+  List.filter_map
+    (fun index ->
+      let st = Random.State.make [| 1; index |] in
+      let program =
+        if index mod 4 = 3 then Some (Fuzz.Machgen.generate st ~fuel:8)
+        else
+          match
+            Pipeline.build_sources
+              ~config:{ Pipeline.default_config with outline_rounds = 0 }
+              (Fuzz.Swiftgen.to_sources (Fuzz.Swiftgen.generate st ~fuel:8))
+          with
+          | Ok r -> Some r.Pipeline.program
+          | Error _ -> None
+      in
+      Option.map
+        (fun p -> (Printf.sprintf "fuzz-%d" index, lattice_profile p))
+        program)
+    (List.init 8 Fun.id)
+
+(* The self-profile a default uber_rider build lays out from. *)
+let rider_profile () =
+  fst
+    (Pgo.Collect.self_profile
+       (build_exn (Workload.Appgen.generate_sources Workload.Appgen.uber_rider)))
+
+let golden_profiles =
+  lazy
+    (("sample", snd (collect_sample ()))
+    :: ("small", small_app_profile ())
+    :: ("uber_rider", rider_profile ())
+    :: crafted_profiles ()
+    @ fuzz_profiles ())
+
+let read_golden name =
+  In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all
+
+let test_golden_profiles () =
+  let digests =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ name; digest ] -> Some (name, digest)
+        | _ -> None)
+      (String.split_on_char '\n' (read_golden "profile_digests.txt"))
+  in
+  let profiles = Lazy.force golden_profiles in
+  Alcotest.(check (list string))
+    "the frozen cases" (List.map fst digests) (List.map fst profiles);
+  List.iter
+    (fun (name, p) ->
+      let text = Pgo.Profile.to_string p in
+      if name = "sample" || name = "small" then
+        Alcotest.(check string)
+          (name ^ " byte for byte")
+          (read_golden ("profile_" ^ name ^ ".pgo"))
+          text;
+      Alcotest.(check string)
+        (name ^ " digest") (List.assoc name digests)
+        (Digest.to_hex (Digest.string text)))
+    profiles
+
+let check_conserved name p =
+  match Fuzz.Lattice.profile_conserved p with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (name ^ ": " ^ e)
+
+let test_conservation () =
+  List.iter
+    (fun (name, p) -> check_conserved name p)
+    (Lazy.force golden_profiles);
+  (* Not vacuous: each invariant rejects a profile that breaks it. *)
+  let _, sample = collect_sample () in
+  let rejects what (p : Pgo.Profile.t) =
+    match Fuzz.Lattice.profile_conserved p with
+    | Ok () -> Alcotest.fail ("accepted " ^ what)
+    | Error _ -> ()
+  in
+  let remake ?(counts = sample.counts) ?(first_touch = sample.first_touch)
+      ?(blocks = sample.blocks) () =
+    Pgo.Profile.make ~workload:"sample" ~entries:sample.entries ~first_touch
+      ~counts ~edges:sample.edges ~blocks ()
+  in
+  rejects "an extra entry count"
+    (remake ~counts:(("leaf", 2) :: List.remove_assoc "leaf" sample.counts) ());
+  rejects "an untouched function in the first-touch order"
+    (remake ~first_touch:(sample.first_touch @ [ "cold_never" ]) ());
+  rejects "a repeated first touch"
+    (remake ~first_touch:(sample.first_touch @ [ "leaf" ]) ());
+  rejects "a block of an unexecuted function"
+    (remake ~blocks:((("cold_never", "entry"), 1) :: sample.blocks) ())
+
+(* --- Early stops ----------------------------------------------------------- *)
+
+(* A five-step budget ends the sample's run inside main's call to mid:
+   main's stp and bl, helper's mov and ret, then the bl that enters mid.
+   The profile is exactly that prefix, and the stop is reported. *)
+let test_truncated_profile () =
+  let config = { Pgo.Collect.default_config with Perfsim.Interp.max_steps = 5 } in
+  let profile, stops =
+    Pgo.Collect.collect ~config ~workload:"sample" ~entries:[ "main" ]
+      (sample_program ())
+  in
+  Alcotest.(check string)
+    "the executed prefix"
+    "pgo-profile v2\n\
+     workload sample\n\
+     entry main\n\
+     touch main\n\
+     touch helper\n\
+     touch mid\n\
+     count helper 1\n\
+     count main 1\n\
+     count mid 1\n\
+     edge main helper 1\n\
+     edge main mid 1\n\
+     block helper entry 1\n\
+     block main entry 1\n"
+    (Pgo.Profile.to_string profile);
+  check_conserved "truncated sample" profile;
+  match stops with
+  | [ (("main", Perfsim.Interp.Step_limit_exceeded) as stop) ] ->
+    let warning = Pgo.Collect.stop_warning ~budget:5 stop in
+    Alcotest.(check string)
+      "warning names the entry and the budget"
+      "profile run of main stopped early (step limit exceeded; budget 5 \
+       steps): layout uses the executed prefix"
+      warning
+  | _ -> Alcotest.fail "main's stop at the step limit was not reported"
+
+(* The same report through `sizeopt build`: a main that loops past the
+   self-profile's budget gets a warning naming it and the budget. *)
+let test_build_warns_on_budget () =
+  let dir = Filename.temp_dir "spin" "" in
+  let errors = Filename.temp_file "spin" ".err" in
+  Out_channel.with_open_text (Filename.concat dir "main.swl") (fun oc ->
+      output_string oc
+        "func main() -> Int {\n\
+        \  var j = 10000000\n\
+        \  while j > 0 {\n\
+        \    j = j - 1\n\
+        \  }\n\
+        \  return 0\n\
+         }\n");
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "../bin/sizeopt.exe build %s --layout stitch > /dev/null 2> %s"
+         (Filename.quote dir) (Filename.quote errors))
+  in
+  let stderr = In_channel.with_open_text errors In_channel.input_all in
+  Sys.remove (Filename.concat dir "main.swl");
+  Sys.rmdir dir;
+  Sys.remove errors;
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "warning"
+    (Printf.sprintf
+       "warning: profile run of main stopped early (step limit exceeded; \
+        budget %d steps): layout uses the executed prefix\n"
+       Pgo.Collect.self_profile_steps)
+    stderr
 
 (* --- Ordering strategies -------------------------------------------------- *)
 
@@ -147,6 +441,7 @@ let test_orders_are_permutations () =
 
 let test_hot_cold_split () =
   let p, profile = collect_sample () in
+  let ix = Pgo.Profile.index profile in
   List.iter
     (fun s ->
       let order = Pgo.Order.compute s profile p in
@@ -156,7 +451,7 @@ let test_hot_cold_split () =
       in
       List.iteri
         (fun i n ->
-          if Pgo.Profile.executed profile n then
+          if Pgo.Profile.executed ix n then
             Alcotest.(check bool)
               (Pgo.Order.strategy_name s ^ ": hot " ^ n ^ " before cold tail")
               true (i < cold_pos))
@@ -222,7 +517,7 @@ let test_bp_compress_w0_is_balanced_app () =
   let program = res.Pipeline.program in
   let entries = [ "main"; "span1"; "span2" ] in
   let args_for e = if e = "main" then [] else [ 1 ] in
-  let profile =
+  let profile, _ =
     Pgo.Collect.collect ~args_for ~workload:"small" ~entries program
   in
   Alcotest.(check (list string))
@@ -405,6 +700,13 @@ let () =
           Alcotest.test_case "trace events -> profile" `Quick test_collect_events;
           Alcotest.test_case "deterministic serialized profile" `Slow
             test_profile_determinism;
+          Alcotest.test_case "frozen golden profiles" `Slow
+            test_golden_profiles;
+          Alcotest.test_case "profiles are conserved" `Slow test_conservation;
+          Alcotest.test_case "budget stop keeps the prefix" `Quick
+            test_truncated_profile;
+          Alcotest.test_case "build warns at the budget" `Slow
+            test_build_warns_on_budget;
         ] );
       ( "order",
         [
