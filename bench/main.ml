@@ -636,18 +636,20 @@ let outline_bench () =
 
 (* Thin-WPO worker sweep on a scaled appgen app, against the full
    whole-program build: byte-identity across worker counts, image within
-   1% of full WPO, and the parallel speedup.  CI containers are often
-   single-core, so the headline speedup is Amdahl-modeled from the
-   workers=1 run's measured per-shard timings — the engine's serial part
-   is the global decision rounds, the parallel part the per-shard
-   discovery and rewrite, and T(w) = serial + parallel/w — while measured
-   wall-clock for every sweep point is recorded alongside (it only means
-   anything on a >= 4-core host; the JSON records the core count).  The
-   count-then-materialize share — windows built into candidates over
-   windows keyed, summed over rounds — is a deterministic counter, gated
-   by [max_materialized_share] where given.
+   1% of full WPO, and the parallel speedup.  The speedup gate is
+   measured: with [max_w2_over_w1] given, the workers=2 build's wall time
+   may be at most that share of the workers=1 build's, checked only on a
+   host with at least two cores (on one core a note says it was skipped).
+   An Amdahl-modeled speedup from the workers=1 run's per-shard timings —
+   the engine's serial part is the global decision rounds, the parallel
+   part the per-shard discovery and rewrite, and T(w) = serial +
+   parallel/w — is printed and recorded for information only: it grows
+   when parallel work is wasted.  The count-then-materialize share —
+   windows built into candidates by discovery and by the refine probe,
+   over windows keyed, summed over rounds — is a deterministic counter,
+   gated by [max_materialized_share] where given.
    Emits BENCH_thinwpo.json. *)
-let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup
+let thinwpo_impl ~profile ~mult ~workers_list ?max_w2_over_w1
     ?max_materialized_share () =
   let prof = Workload.Appgen.scaled ~mult profile in
   title
@@ -696,18 +698,27 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup
       (Thinwpo.Engine.Report.rounds thin1.Pipeline.thin_profile)
   in
   let modeled w = (serial_s +. parallel_s) /. (serial_s +. (parallel_s /. float_of_int w)) in
-  let keyed, materialized =
+  let keyed, materialized, probed =
     List.fold_left
-      (fun (k, m) (rd : Thinwpo.Engine.Report.round) ->
-        (k + rd.rr_keyed, m + rd.rr_materialized))
-      (0, 0)
+      (fun (k, m, pr) (rd : Thinwpo.Engine.Report.round) ->
+        (k + rd.rr_keyed, m + rd.rr_materialized, pr + rd.rr_probed))
+      (0, 0, 0)
       (Thinwpo.Engine.Report.rounds thin1.Pipeline.thin_profile)
   in
   (* Windows materialized without being keyed count as the whole scan. *)
   let materialized_share =
-    if materialized = 0 then 0.
+    if materialized + probed = 0 then 0.
     else if keyed = 0 then 1.
-    else float_of_int materialized /. float_of_int keyed
+    else float_of_int (materialized + probed) /. float_of_int keyed
+  in
+  let host_cores = Domain.recommended_domain_count () in
+  let wall_of w =
+    List.find_map (fun (w', wall, _) -> if w' = w then Some wall else None) runs
+  in
+  let w2_over_w1 =
+    match (wall_of 1, wall_of 2) with
+    | Some w1, Some w2 when w1 > 0. -> Some (w2 /. w1)
+    | _ -> None
   in
   let thin_size = (fun (_, _, r) -> r.Pipeline.binary_size) (List.hd runs) in
   print_string
@@ -727,11 +738,10 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup
   Printf.printf
     "identical across workers: %b   engine serial %.3fs / parallel %.3fs   \
      size vs full: %+.2f%%   (host cores: %d)\n\
-     windows keyed %d, materialized %d (share %.3f)\n"
+     windows keyed %d, materialized %d, probed %d (share %.3f)\n"
     identical serial_s parallel_s
     (-.pct full.Pipeline.binary_size thin_size)
-    (Domain.recommended_domain_count ())
-    keyed materialized materialized_share;
+    host_cores keyed materialized probed materialized_share;
   let json =
     Printf.sprintf
       "{\n\
@@ -745,13 +755,14 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup
       \  ],\n\
       \  \"modeled\": {\"serial_s\":%.6f,\"parallel_s\":%.6f,\
        \"speedup_at_4\":%.3f},\n\
+      \  \"w2_over_w1\": %s,\n\
       \  \"identical\": %b,\n\
-      \  \"windows\": {\"keyed\":%d,\"materialized\":%d,\"share\":%.6f},\n\
+      \  \"windows\": {\"keyed\":%d,\"materialized\":%d,\"probed\":%d,\
+       \"share\":%.6f},\n\
       \  \"thin_rounds_profile\": %s\n\
        }\n"
       prof.Workload.Appgen.app_name prof.Workload.Appgen.n_modules
-      Pipeline.default_config.outline_rounds
-      (Domain.recommended_domain_count ())
+      Pipeline.default_config.outline_rounds host_cores
       full_wall full.Pipeline.binary_size
       (String.concat ",\n"
          (List.map
@@ -761,8 +772,9 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup
                  \"modeled_speedup\":%.3f}"
                 w wall r.Pipeline.binary_size (modeled w))
             runs))
-      serial_s parallel_s (modeled 4) identical keyed materialized
-      materialized_share
+      serial_s parallel_s (modeled 4)
+      (match w2_over_w1 with Some r -> Printf.sprintf "%.6f" r | None -> "null")
+      identical keyed materialized probed materialized_share
       (Thinwpo.Engine.Report.to_json thin1.Pipeline.thin_profile)
   in
   let oc = open_out "BENCH_thinwpo.json" in
@@ -779,33 +791,35 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup
   | Some bar when materialized_share > bar ->
     failwith
       (Printf.sprintf
-         "thinwpo: materialized %d of %d keyed windows (%.3f), over the %.2f \
-          bar"
-         materialized keyed materialized_share bar)
+         "thinwpo: materialized and probed %d of %d keyed windows (%.3f), \
+          over the %.2f bar"
+         (materialized + probed) keyed materialized_share bar)
   | _ -> ());
-  match min_speedup with
-  | Some bar ->
-    if modeled 4 < bar then
-      failwith
-        (Printf.sprintf
-           "thinwpo: modeled speedup at 4 workers %.2fx is below the %.1fx bar"
-           (modeled 4) bar)
-    else
-      Printf.printf "modeled speedup at 4 workers %.2fx clears the %.1fx bar\n"
-        (modeled 4) bar
-  | None -> ()
+  match (max_w2_over_w1, w2_over_w1) with
+  | None, _ -> ()
+  | Some _, None -> failwith "thinwpo: the wall gate needs workers 1 and 2"
+  | Some _, Some _ when host_cores < 2 ->
+    Printf.printf "note: %d host core, w=2 vs w=1 wall gate skipped\n"
+      host_cores
+  | Some bar, Some r when r > bar ->
+    failwith
+      (Printf.sprintf
+         "thinwpo: w=2 wall is %.2f of w=1 wall, over the %.2f bar" r bar)
+  | Some bar, Some r ->
+    Printf.printf "w=2 wall is %.2f of w=1 wall, within the %.2f bar\n" r bar
 
 let thinwpo () =
   thinwpo_impl ~profile:Workload.Appgen.small ~mult:10
-    ~workers_list:[ 1; 2; 4; 8 ] ~min_speedup:(Some 2.5) ()
+    ~workers_list:[ 1; 2; 4; 8 ] ~max_w2_over_w1:0.85 ()
 
 (* CI smoke: a 2x app and a two-point sweep — small enough for every push.
    Identity and size assertions, plus the count-then-materialize gate: at
-   most a quarter of the keyed windows may be built into candidates
-   (0.131 measured when the gate was set). *)
+   most a quarter of the keyed windows may be built into candidates,
+   discovery and refine probe together (0.132 measured: discovery builds
+   89,386 of 678,566 keyed windows, the refine probe none). *)
 let thinwpo_smoke () =
   thinwpo_impl ~profile:Workload.Appgen.small ~mult:2 ~workers_list:[ 1; 2 ]
-    ~min_speedup:None ~max_materialized_share:0.25 ()
+    ~max_materialized_share:0.25 ()
 
 (* -------------------------------------------------------- serve bench *)
 

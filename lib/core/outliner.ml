@@ -374,6 +374,19 @@ let iter_windows ~lengths metas f =
           lengths)
       metas
 
+(* [iter_windows]'s key for the window a candidate was built from:
+   [insns] then, for a [ret]-ending pattern, the ret slot. *)
+let candidate_key (c : Candidate.t) =
+  let h =
+    List.fold_left (fun h i -> (h * window_base) + insn_key i) 0 c.insns
+  in
+  let h =
+    match c.strategy with
+    | Candidate.Ends_with_ret -> (h * window_base) + ret_slot_key
+    | Candidate.Thunk | Candidate.Plain_call -> h
+  in
+  (h * 31) + c.length
+
 let window_keys ~lengths (p : Program.t) =
   let keys = ref [] in
   iter_windows ~lengths (block_metas p) (fun _ _ _ k -> keys := k :: !keys);

@@ -67,6 +67,12 @@ val window_keys : lengths:int list -> Machine.Program.t -> int array
     candidates reach the decision round with a single global site.  Keys
     may collide; a collision only lets extra windows through. *)
 
+val candidate_key : Candidate.t -> int
+(** The {!window_keys} key of the window a candidate was built from,
+    computed from the candidate alone ([insns], the [ret] slot of an
+    [Ends_with_ret] pattern, [length]) — so a shard can filter its own
+    windows by the contents of candidates found elsewhere. *)
+
 val probe_windows :
   ?options:options ->
   ?extern_sp_unsafe:(string -> bool) ->
@@ -82,9 +88,11 @@ val probe_windows :
     those seen at least twice (count, then materialize).  Without [keep]
     every legal window is materialized.  After the provisional global
     ranking a shard also probes its own windows for advertised pattern
-    lengths past the scan cap and matches them to foreign discoveries by
-    content hash.  No filtering beyond legality and [keep]; the caller
-    intersects the result with the hashes it wants. *)
+    lengths past the scan cap, keeping only windows whose key is the
+    {!candidate_key} of a ranked long pattern, and matches them to
+    foreign discoveries by content hash.  No filtering beyond legality
+    and [keep]; the caller intersects the result with the hashes it
+    wants. *)
 
 val sp_unsafe_callees :
   ?extern:(string -> bool) -> Machine.Program.t -> string -> bool

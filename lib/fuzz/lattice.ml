@@ -1060,66 +1060,58 @@ let check_machine (p : Machine.Program.t) =
        so the interpreter sees the exact placed byte sequence — to
        validate, reproduce the base result, and never grow.  This is the
        point the dropped-materialized-branch fault must trip.  The profile
-       itself must be conserved ([profile_conserved]), truncated and
-       trapping runs included. *)
-    if !failure = None then begin
-      let profile, _ =
-        Pgo.Collect.collect
-          ~config:
-            {
-              Pgo.Collect.default_config with
-              Perfsim.Interp.max_steps = 2_000_000;
-            }
-          ~workload:"fuzz" ~entries:[ "main" ] p
-      in
-      let split, order = Blocklayout.apply ~profile p in
-      match (profile_conserved profile, Machine.Program.validate split) with
-      | Error msg, _ ->
-        failure :=
-          Some { point = "stitch"; reason = "profile not conserved: " ^ msg }
-      | Ok (), Error msg ->
-        failure :=
-          Some { point = "stitch"; reason = "invalid after hot/cold split: " ^ msg }
-      | Ok (), Ok () -> (
-        let size = Machine.Program.code_size_bytes split in
-        if size > base_size then
-          failure :=
-            Some
-              {
-                point = "stitch";
-                reason =
-                  Printf.sprintf "hot/cold splitting grew the code: %d -> %d bytes"
-                    base_size size;
-              }
-        else
-          match
-            Perfsim.Interp.run ~config:machine_interp_config ~order
-              ~entry:"main" split
-          with
-          | Error e ->
-            failure :=
-              Some
-                {
-                  point = "stitch";
-                  reason =
-                    "execution failed after hot/cold split: "
-                    ^ Perfsim.Interp.error_to_string e
-                    ^ " (base: "
-                    ^ render_run base.exit_value base.output
-                    ^ ")";
-                }
-          | Ok r ->
-            if r.exit_value <> base.exit_value || r.output <> base.output then
-              failure :=
-                Some
-                  {
-                    point = "stitch";
-                    reason =
-                      Printf.sprintf "oracle divergence: base %s, stitch got %s"
-                        (render_run base.exit_value base.output)
-                        (render_run r.exit_value r.output);
-                  })
-    end;
+       itself must be conserved ([profile_conserved]).  Generated programs
+       finish well inside the budget, so the point runs twice: with the
+       full budget, and with one that stops [main] after half its steps —
+       a truncated profile must still be conserved and give a split that
+       runs to the base result. *)
+    let stitch point max_steps =
+      if !failure = None then begin
+        let fail reason = failure := Some { point; reason } in
+        let profile, stopped =
+          Pgo.Collect.collect
+            ~config:{ Pgo.Collect.default_config with Perfsim.Interp.max_steps }
+            ~workload:"fuzz" ~entries:[ "main" ] p
+        in
+        let split, order = Blocklayout.apply ~profile p in
+        match (profile_conserved profile, Machine.Program.validate split) with
+        | _ when (stopped <> []) <> (max_steps < base.steps) ->
+          fail
+            (Printf.sprintf
+               "profile run stopped early: %b, at a %d-step budget for a \
+                %d-step run"
+               (stopped <> []) max_steps base.steps)
+        | Error msg, _ -> fail ("profile not conserved: " ^ msg)
+        | Ok (), Error msg -> fail ("invalid after hot/cold split: " ^ msg)
+        | Ok (), Ok () -> (
+          let size = Machine.Program.code_size_bytes split in
+          if size > base_size then
+            fail
+              (Printf.sprintf "hot/cold splitting grew the code: %d -> %d bytes"
+                 base_size size)
+          else
+            match
+              Perfsim.Interp.run ~config:machine_interp_config ~order
+                ~entry:"main" split
+            with
+            | Error e ->
+              fail
+                ("execution failed after hot/cold split: "
+                ^ Perfsim.Interp.error_to_string e
+                ^ " (base: "
+                ^ render_run base.exit_value base.output
+                ^ ")")
+            | Ok r ->
+              if r.exit_value <> base.exit_value || r.output <> base.output then
+                fail
+                  (Printf.sprintf "oracle divergence: base %s, %s got %s"
+                     (render_run base.exit_value base.output)
+                     point
+                     (render_run r.exit_value r.output)))
+      end
+    in
+    stitch "stitch" 2_000_000;
+    stitch "stitch-truncated" (max 1 (base.steps / 2));
     match !failure with
     | Some f -> Fail f
-    | None -> Pass (List.length machine_points + 1))
+    | None -> Pass (List.length machine_points + 2))

@@ -100,4 +100,7 @@ val check_machine : Machine.Program.t -> verdict
     uninstrumented interpreter run is the oracle; {!Outcore.Repeat.run}
     at 1/3/5 rounds — with and without pre-canonicalization — must
     preserve it, keep {!Machine.Program.validate} happy, and shrink code
-    size monotonically in the round count. *)
+    size monotonically in the round count.  The [stitch] point splits the
+    program by its self-profile and runs the split under the stitched
+    order; [stitch-truncated] does the same from a profile whose run of
+    [main] stopped after half its steps. *)

@@ -23,6 +23,7 @@ module Report = struct
     rr_selected : int;
     rr_keyed : int;
     rr_materialized : int;
+    rr_probed : int;
     rr_decisions : Summary.decision list;
   }
 
@@ -42,9 +43,9 @@ module Report = struct
     let round r =
       Printf.sprintf
         "{\"round\":%d,\"join_s\":%.6f,\"decide_s\":%.6f,\"selected\":%d,\
-         \"keyed\":%d,\"materialized\":%d,\"shards\":[%s]}"
+         \"keyed\":%d,\"materialized\":%d,\"probed\":%d,\"shards\":[%s]}"
         r.rr_round r.rr_join r.rr_decide r.rr_selected r.rr_keyed
-        r.rr_materialized
+        r.rr_materialized r.rr_probed
         (String.concat "," (List.map shard r.rr_shards))
     in
     "[" ^ String.concat "," (List.map round (rounds t)) ^ "]"
@@ -88,7 +89,8 @@ let sum_stats =
 
 (* Window fingerprinting is exhaustive up to this pattern length (symbols,
    counting a trailing [ret]); longer patterns rely on per-shard suffix
-   trees plus the post-ranking probe. *)
+   trees plus the post-ranking probe, which builds candidates only for
+   windows keyed like a ranked long pattern. *)
 let window_scan_max = 32
 
 let run_round ?report ?(hash_first = true) ~workers ~facts
@@ -197,27 +199,33 @@ let run_round ?report ?(hash_first = true) ~workers ~facts
       if not (Hashtbl.mem prov_rank d.dc_hash) then
         Hashtbl.replace prov_rank d.dc_hash d.dc_rank)
     provisional;
-  (* The advertised pattern lengths, for window probing: a shard holding a
+  (* The advertised long patterns, for window probing: a shard holding a
      provisionally ranked pattern only {e once} has no local repeat for
-     the suffix tree to find, but it can hash its own windows of the
-     advertised lengths and match foreign discoveries by content. *)
-  let prov_len : (int64, int) Hashtbl.t = Hashtbl.create 256 in
+     the suffix tree to find, but it can key its own windows of the
+     advertised lengths and match foreign discoveries by content.  Windows
+     up to the scan cap were keyed exhaustively in phase 1, so a locally
+     missing hash of such a length really is absent. *)
+  let prov_len : (int64, int) Hashtbl.t = Hashtbl.create 64 in
+  let long_keys : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   Array.iter
-    (fun (_, _, (raw : Summary.t), _, _) ->
+    (fun (_, pairs, _, _, _) ->
       List.iter
-        (fun (pt : Summary.pattern) ->
-          if
-            Hashtbl.mem prov_rank pt.ps_hash
-            && not (Hashtbl.mem prov_len pt.ps_hash)
-          then Hashtbl.replace prov_len pt.ps_hash pt.ps_length)
-        raw.Summary.sm_patterns)
+        (fun (h, (c : Candidate.t)) ->
+          if c.length > window_scan_max && Hashtbl.mem prov_rank h then begin
+            if not (Hashtbl.mem prov_len h) then
+              Hashtbl.replace prov_len h c.length;
+            Hashtbl.replace long_keys (Outliner.candidate_key c) ()
+          end)
+        pairs)
     discovered;
   let prov_s = Unix.gettimeofday () -. t0 in
-  (* Ranked local site assignment: each shard walks the provisional table
-     in global rank order and greedily claims disjoint sites; candidates
-     the provisional round rejected claim nothing (the serial selector's
-     profitability filter).  [prov_rank] is read-only here, so sharing it
-     across domains is safe. *)
+  (* Ranked local site assignment: each shard probes its windows of the
+     advertised long lengths it lacks, building candidates only for windows
+     keyed like a ranked long pattern, then walks the provisional table in
+     global rank order and greedily claims disjoint sites; candidates the
+     provisional round rejected claim nothing (the serial selector's
+     profitability filter).  [prov_rank] and [long_keys] are read-only
+     here, so sharing them across domains is safe. *)
   let refined =
     Pool.map ~workers
       (fun i ->
@@ -229,20 +237,22 @@ let run_round ?report ?(hash_first = true) ~workers ~facts
         in
         List.iter (fun (h, _) -> Hashtbl.replace local h ()) pairs;
         let missing_lengths =
-          (* Windows up to the scan cap were fingerprinted exhaustively in
-             phase 1, so a locally missing hash of such a length really is
-             absent — only longer patterns are worth probing for. *)
           Hashtbl.fold
-            (fun h len acc ->
-              if len <= window_scan_max || Hashtbl.mem local h then acc
-              else len :: acc)
+            (fun h len acc -> if Hashtbl.mem local h then acc else len :: acc)
             prov_len []
+        in
+        (* A window keyed unlike every ranked long pattern cannot hash to
+           one; [hash_first = false] builds every window. *)
+        let n_probed = ref 0 in
+        let keep k =
+          (not hash_first || Hashtbl.mem long_keys k)
+          && (incr n_probed; true)
         in
         let probed =
           if missing_lengths = [] then []
           else begin
             let hash = Summary.hasher () in
-            Outliner.probe_windows ~options ~extern_sp_unsafe
+            Outliner.probe_windows ~options ~extern_sp_unsafe ~keep
               ~lengths:missing_lengths shard_p
             |> List.filter_map (fun c ->
                    let h = hash c in
@@ -288,14 +298,15 @@ let run_round ?report ?(hash_first = true) ~workers ~facts
           survivors;
         ( Summary.of_candidates ~modul survivors,
           retained,
-          Unix.gettimeofday () -. t0 ))
+          Unix.gettimeofday () -. t0,
+          !n_probed ))
       (Array.init (Array.length shards) Fun.id)
   in
   (* The final, exact decision over disjoint counts. *)
   let t0 = Unix.gettimeofday () in
   let decisions =
     Summary.decide ~round:options.round
-      (Array.to_list (Array.map (fun (s, _, _) -> s) refined))
+      (Array.to_list (Array.map (fun (s, _, _, _) -> s) refined))
   in
   List.iter
     (fun (d : Summary.decision) ->
@@ -305,7 +316,7 @@ let run_round ?report ?(hash_first = true) ~workers ~facts
   (* Phase 3: parallel rewrite against the decision table. *)
   let jobs =
     Array.mapi (fun i (modul, funcs) ->
-        let _, retained, _ = refined.(i) in
+        let _, retained, _, _ = refined.(i) in
         (modul, funcs, retained))
       shards
   in
@@ -371,7 +382,7 @@ let run_round ?report ?(hash_first = true) ~workers ~facts
            (fun i (modul, funcs) ->
              let _, keys_s = keyed.(i) in
              let _, _, _, enum_s, _ = discovered.(i) in
-             let _, _, refine_s = refined.(i) in
+             let _, _, refine_s, _ = refined.(i) in
              let _, _, _, rewrite_s = rewritten.(i) in
              {
                Report.rs_module = modul;
@@ -392,6 +403,7 @@ let run_round ?report ?(hash_first = true) ~workers ~facts
         rr_keyed = n_keyed;
         rr_materialized =
           Array.fold_left (fun n (_, _, _, _, m) -> n + m) 0 discovered;
+        rr_probed = Array.fold_left (fun n (_, _, _, m) -> n + m) 0 refined;
         rr_decisions = decisions;
       });
   let stats = sum_stats (Array.map (fun (_, _, s, _) -> s) rewritten) in

@@ -45,6 +45,7 @@ module Report : sig
     rr_selected : int;           (** decision-table entries *)
     rr_keyed : int;              (** legal windows keyed, all shards *)
     rr_materialized : int;       (** windows built into candidates *)
+    rr_probed : int;             (** windows the refine probe built *)
     rr_decisions : Summary.decision list;  (** the final decision table *)
   }
 
@@ -75,6 +76,10 @@ val run_round :
     Discovery counts before it materializes: shards key every legal window
     up to the scan cap ({!Outcore.Outliner.window_keys}), a serial join
     counts the keys, and only windows whose key occurs at least twice in
-    the whole program become candidates.  [hash_first] (default [true])
-    set to [false] materializes every window instead; the decision table
-    and the output are the same either way. *)
+    the whole program become candidates.  After the provisional decision,
+    each shard probes its windows of the advertised lengths past the cap
+    for ranked patterns it lacks, and builds candidates only for windows
+    whose key is the {!Outcore.Outliner.candidate_key} of a ranked
+    phase-1 candidate past the cap.  [hash_first] (default [true]) set to
+    [false] skips both key filters and materializes every window instead;
+    the decision table and the output are the same either way. *)

@@ -286,7 +286,8 @@ let test_hash_first_same_decisions () =
             (label ^ ": materializes no more than it keyed")
             true
             (r.rr_materialized <= r.rr_keyed
-            && r.rr_materialized <= ref_r.rr_materialized);
+            && r.rr_materialized <= ref_r.rr_materialized
+            && r.rr_probed <= ref_r.rr_probed);
           skipped := !skipped + ref_r.rr_materialized - r.rr_materialized;
           decided := !decided + List.length r.rr_decisions;
           go ref_p (round + 1)
@@ -297,6 +298,23 @@ let test_hash_first_same_decisions () =
   (* Not vacuous: rounds decided something, and counting dropped windows. *)
   Alcotest.(check bool) "the corpus produced decisions" true (!decided > 0);
   Alcotest.(check bool) "counting skipped windows" true (!skipped > 0)
+
+(* [Mov (d, Rop s)] respelled as the [orr d, xzr, s] it prints as. *)
+let orr_spelling (p : Program.t) =
+  Program.replace_funcs p
+    (List.map
+       (Mfunc.map_blocks (fun (blk : Block.t) ->
+            {
+              blk with
+              Block.body =
+                Array.map
+                  (function
+                    | Insn.Mov (d, (Insn.Rop _ as s)) ->
+                      Insn.Binop (Insn.Orr, d, Reg.XZR, s)
+                    | i -> i)
+                  blk.Block.body;
+            }))
+       p.Program.funcs)
 
 let test_window_keys_module_independent () =
   let body =
@@ -320,27 +338,163 @@ let test_window_keys_module_independent () =
     (keys (shard "beta" "top"));
   (* [Mov (d, Rop s)] prints as [orr d, xzr, s], so summary hashes cannot
      tell it from the [Binop] spelling, and neither may the keys. *)
-  let as_binop =
-    Mfunc.map_blocks (fun (blk : Block.t) ->
-        {
-          blk with
-          Block.body =
-            Array.map
-              (function
-                | Insn.Mov (d, (Insn.Rop _ as s)) ->
-                  Insn.Binop (Insn.Orr, d, Reg.XZR, s)
-                | i -> i)
-              blk.Block.body;
-        })
-  in
-  let p = shard "gamma" "entry" in
   Alcotest.(check (array int)) "orr spelling of the move keys alike" a
-    (keys (Program.replace_funcs p (List.map as_binop p.Program.funcs)));
+    (keys (orr_spelling (shard "gamma" "entry")));
   let other = ok_exn (Asm_parser.parse_program
       "func g module=delta:\nentry:\n  mov x1, #4\n  add x2, x1, #7\n  ret\n")
   in
   Alcotest.(check bool) "different content, different keys" false
     (Array.exists (fun k -> Array.mem k a) (keys other))
+
+(* The refine probe keeps a window only if its key is the [candidate_key]
+   of a candidate built elsewhere, so a candidate's key must be the key
+   [iter_windows] offers for its window.  Probing with a filter that
+   accepts exactly the candidates' own keys must rebuild every candidate
+   (a window whose key disagreed would be dropped), and every candidate
+   key must have been offered.  Lengths run past the scan cap. *)
+let test_candidate_key_agreement () =
+  let lengths = List.init 39 (fun i -> i + 2) in
+  let with_ret = ref 0 and moves = ref 0 in
+  List.iteri
+    (fun i p ->
+      let offered = Hashtbl.create 1024 in
+      let all =
+        Outcore.Outliner.probe_windows ~lengths
+          ~keep:(fun k -> Hashtbl.replace offered k (); true)
+          p
+      in
+      let keys = Hashtbl.create 1024 in
+      List.iter
+        (fun c -> Hashtbl.replace keys (Outcore.Outliner.candidate_key c) ())
+        all;
+      let label = Printf.sprintf "program %d" i in
+      Alcotest.(check bool) (label ^ ": every candidate key was offered") true
+        (Hashtbl.fold (fun k () ok -> ok && Hashtbl.mem offered k) keys true);
+      Alcotest.(check bool)
+        (label ^ ": filtering by candidate keys rebuilds every candidate")
+        true
+        (Outcore.Outliner.probe_windows ~lengths ~keep:(Hashtbl.mem keys) p
+        = all);
+      (* The orr spelling of a move prints alike, so it must key alike:
+         the same windows, in the same order, with the same keys. *)
+      let respelled = Outcore.Outliner.probe_windows ~lengths (orr_spelling p) in
+      Alcotest.(check (list int)) (label ^ ": orr spelling keys alike")
+        (List.map Outcore.Outliner.candidate_key all)
+        (List.map Outcore.Outliner.candidate_key respelled);
+      List.iter
+        (fun (c : Outcore.Candidate.t) ->
+          if c.strategy = Outcore.Candidate.Ends_with_ret then incr with_ret;
+          if
+            List.exists
+              (function Insn.Mov (_, Insn.Rop _) -> true | _ -> false)
+              c.insns
+          then incr moves)
+        all)
+    (Lazy.force lattice_programs);
+  Alcotest.(check bool) "ret-slot windows covered" true (!with_ret > 0);
+  Alcotest.(check bool) "register moves covered" true (!moves > 0)
+
+(* A pattern longer than the scan cap, twice in module [a] and once in
+   module [b], in a ret-ending and a plain-call variant.  Phase 1 sees only
+   [a]'s pair (its suffix tree repeat); [b]'s copy is found by the refine
+   probe, and the final decision must count all three sites.  The pattern
+   must be long enough that its two-site provisional benefit outranks its
+   own three-site windows of the scan cap's length — at 40 instructions
+   those windows win the ranked site assignment and the long pattern is
+   never decided; from 63 instructions on both variants are. *)
+let long_pattern_len = 64
+
+let test_long_pattern_found_by_probe () =
+  let pattern base =
+    String.concat ""
+      (List.init long_pattern_len (fun i ->
+           Printf.sprintf "  add x%d, x%d, #%d\n" (1 + (i mod 3))
+             (1 + ((i + 1) mod 3)) (base + i)))
+  in
+  let ret_pat = pattern 100 and plain_pat = pattern 500 in
+  let func name modul k =
+    (* [k] makes each function's tail unique, so only the patterns repeat *)
+    Printf.sprintf
+      "func %s_ret module=%s:\nentry:\n  mov x1, #%d\n%s  ret\n\
+       func %s_plain module=%s:\nentry:\n  mov x2, #%d\n%s  mul x3, x1, \
+       #%d\n  ret\n"
+      name modul k ret_pat name modul (k + 1) plain_pat (k + 2)
+  in
+  let p =
+    ok_exn
+      (Asm_parser.parse_program
+         (func "a_one" "a" 1000 ^ func "a_two" "a" 2000
+        ^ func "b_one" "b" 3000))
+  in
+  let run hash_first =
+    let report = Thinwpo.Engine.Report.create () in
+    let p', stats =
+      Thinwpo.Engine.run_round ~report ~hash_first ~workers:1
+        ~facts:(Thinwpo.Engine.create_facts ())
+        ~options:Outcore.Outliner.default_options p
+    in
+    (p', stats, List.hd (Thinwpo.Engine.Report.rounds report))
+  in
+  let p', stats, r = run true in
+  let ref_p, _, ref_r = run false in
+  Alcotest.(check string) "same program as the unkeyed probe" (source ref_p)
+    (source p');
+  Alcotest.(check bool) "the keyed probe built fewer candidates" true
+    (0 < r.rr_probed && r.rr_probed < ref_r.rr_probed);
+  (* Each outlined body of at least [long_pattern_len] instructions is
+     reached from three call sites, one of them in module [b]. *)
+  let calls_to name =
+    List.fold_left
+      (fun n (f : Mfunc.t) ->
+        List.fold_left
+          (fun n (blk : Block.t) ->
+            let n =
+              n
+              + Array.fold_left
+                  (fun n i -> if i = Insn.Bl name then n + 1 else n)
+                  0 blk.Block.body
+            in
+            match blk.Block.term with
+            | Block.Tail_call l when l = name -> n + 1
+            | _ -> n)
+          n f.Mfunc.blocks)
+      0 p'.Program.funcs
+  in
+  let long_hosts =
+    List.filter
+      (fun (f : Mfunc.t) ->
+        f.Mfunc.is_outlined
+        && List.fold_left
+             (fun n (blk : Block.t) -> n + Array.length blk.Block.body)
+             0 f.Mfunc.blocks
+           >= long_pattern_len)
+      p'.Program.funcs
+  in
+  (* The decision table holds the two patterns at their three-site
+     benefit: ret-ending sites are tail branches, the plain-call sites
+     spill LR (it is live up to each function's [ret]). *)
+  let three_sites strategy ~pattern_len ~n_free ~n_save =
+    Outcore.Cost_model.benefit_of_counts strategy ~needs_lr_frame:false
+      ~pattern_len ~n_free ~n_save
+  in
+  Alcotest.(check (list int)) "decided with three sites each"
+    [
+      three_sites Outcore.Candidate.Ends_with_ret
+        ~pattern_len:(long_pattern_len + 1) ~n_free:3 ~n_save:0;
+      three_sites Outcore.Candidate.Plain_call ~pattern_len:long_pattern_len
+        ~n_free:0 ~n_save:3;
+    ]
+    (List.map
+       (fun (d : Thinwpo.Summary.decision) -> d.dc_benefit)
+       r.rr_decisions);
+  Alcotest.(check int) "both long patterns outlined" 2 (List.length long_hosts);
+  List.iter
+    (fun (f : Mfunc.t) ->
+      Alcotest.(check int) (f.Mfunc.name ^ ": all three sites") 3
+        (calls_to f.Mfunc.name))
+    long_hosts;
+  Alcotest.(check bool) "sites rewritten" true
+    (stats.Outcore.Outliner.sequences_outlined >= 6)
 
 (* --- degenerate shardings --------------------------------------------------- *)
 
@@ -417,5 +571,9 @@ let () =
             test_hash_first_same_decisions;
           Alcotest.test_case "window keys ignore the module" `Quick
             test_window_keys_module_independent;
+          Alcotest.test_case "candidate keys match window keys" `Quick
+            test_candidate_key_agreement;
+          Alcotest.test_case "long pattern found by the probe" `Quick
+            test_long_pattern_found_by_probe;
         ] );
     ]
